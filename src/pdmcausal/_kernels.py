@@ -2,148 +2,43 @@
 
 The builder enumerates every tuple of Pauli words across the time slots and
 propagates coarse-grained post-measurement ensembles through the channels.
-That enumeration is the hot inner loop of the package, so it has a numba
-@njit kernel and a pure-numpy fallback.  Selection:
-
-* env var ``PDM_CAUSAL_NUMBA`` = ``0``/``1``/``auto`` (default ``auto``);
-* ``auto`` uses numba whenever it imports, otherwise numpy;
-* an explicit ``engine=`` argument overrides the env var.
-
-Both paths implement the same definitional recursion and agree to rounding.
+That enumeration is the hot inner loop of the package.  It runs breadth
+first: after ``s`` measured slots every Pauli-prefix state sits in one
+``(4**(s*n), d, d)`` stack, so each slot costs one broadcast measurement and
+one channel ``einsum`` over the whole stack.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_ENV_FLAG = "PDM_CAUSAL_NUMBA"
-
-
-def numba_enabled() -> bool:
-    """Engine selection: env flag PDM_CAUSAL_NUMBA, defaulting to numba if present."""
-    value = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-    if value in ("0", "false", "off", "no", "numpy"):
-        return False
-    if value in ("1", "true", "on", "yes", "numba"):
-        return HAVE_NUMBA
-    return HAVE_NUMBA
-
-
-def _expectation_numpy(
-    rho: np.ndarray, kraus_steps: Sequence[np.ndarray], paulis: np.ndarray
-) -> np.ndarray:
-    """Expectation tensor E[i1,...,im] via batched definitional propagation."""
-    p, d, _ = paulis.shape
-    m = len(kraus_steps) + 1
-    eye = np.eye(d, dtype=np.complex128)
-    proj_plus = 0.5 * (eye[None, :, :] + paulis)
-    proj_minus = 0.5 * (eye[None, :, :] - paulis)
-
-    def walk(state: np.ndarray, step: int) -> np.ndarray:
-        if step == m - 1:
-            return np.einsum("ij,kji->k", state, paulis).real
-        signed = proj_plus @ state @ proj_plus - proj_minus @ state @ proj_minus
-        kraus = kraus_steps[step]
-        out = np.einsum("aij,pjl,aml->pim", kraus, signed, kraus.conj(), optimize=True)
-        return np.stack([walk(out[i], step + 1) for i in range(p)])
-
-    return walk(rho.astype(np.complex128), 0).reshape((p,) * m)
-
-
-@njit(cache=True)
-def _expectation_flat_numba(rho, kraus, kraus_counts, paulis, m):  # pragma: no cover
-    p, d, _ = paulis.shape
-    n_prefix = p ** (m - 1)
-    strides = np.empty(max(m - 1, 1), dtype=np.int64)
-    for s in range(m - 1):
-        strides[s] = p ** (m - 2 - s)
-    out = np.empty(n_prefix * p, dtype=np.float64)
-    eye = np.eye(d) + 0j
-    for flat in range(n_prefix):
-        state = rho.copy()
-        for s in range(m - 1):
-            idx = (flat // strides[s]) % p
-            sigma = paulis[idx]
-            pp = 0.5 * (eye + sigma)
-            pm = 0.5 * (eye - sigma)
-            signed = pp @ state @ pp - pm @ state @ pm
-            nxt = np.zeros((d, d), dtype=np.complex128)
-            for a in range(kraus_counts[s]):
-                k = kraus[s, a]
-                nxt += k @ signed @ k.conj().T
-            state = nxt
-        base = flat * p
-        for j in range(p):
-            sigma = paulis[j]
-            acc = 0.0
-            for r in range(d):
-                for c in range(d):
-                    acc += (state[r, c] * sigma[c, r]).real
-            out[base + j] = acc
-    return out
-
-
-def _expectation_numba(
-    rho: np.ndarray, kraus_steps: Sequence[np.ndarray], paulis: np.ndarray
-) -> np.ndarray:
-    p, d, _ = paulis.shape
-    m = len(kraus_steps) + 1
-    kmax = max((k.shape[0] for k in kraus_steps), default=1)
-    packed = np.zeros((max(m - 1, 1), kmax, d, d), dtype=np.complex128)
-    counts = np.zeros(max(m - 1, 1), dtype=np.int64)
-    for s, ks in enumerate(kraus_steps):
-        packed[s, : ks.shape[0]] = ks
-        counts[s] = ks.shape[0]
-    flat = _expectation_flat_numba(
-        np.ascontiguousarray(rho, dtype=np.complex128),
-        packed,
-        counts,
-        np.ascontiguousarray(paulis, dtype=np.complex128),
-        m,
-    )
-    return flat.reshape((p,) * m)
-
 
 def expectation_tensor(
-    rho: np.ndarray,
-    kraus_steps: Sequence[np.ndarray],
-    paulis: np.ndarray,
-    engine: str | None = None,
+    rho: np.ndarray, kraus_steps: Sequence[np.ndarray], paulis: np.ndarray
 ) -> np.ndarray:
     """E[i1,...,im]: joint expectations of sequential coarse-grained measurements.
 
     ``rho`` is the initial state, ``kraus_steps`` one stacked Kraus array per
     channel between consecutive slots, ``paulis`` the observable table of
-    shape (4**n, 2**n, 2**n).
+    shape (4**n, 2**n, 2**n).  Row ``i1*p**(s-1) + ... + is`` of the state
+    stack holds the signed ensemble after measuring words ``i1..is`` and
+    applying the ``s``-th channel.
     """
-    if engine is None:
-        engine = "numba" if numba_enabled() else "numpy"
-    if engine == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba engine requested but numba is not importable")
-        return _expectation_numba(rho, kraus_steps, paulis)
-    if engine == "numpy":
-        return _expectation_numpy(rho, kraus_steps, paulis)
-    raise ValueError(f"unknown engine {engine!r}")
+    p, d, _ = paulis.shape
+    eye = np.eye(d, dtype=np.complex128)
+    proj_plus = 0.5 * (eye[None, :, :] + paulis)
+    proj_minus = 0.5 * (eye[None, :, :] - paulis)
+    states = rho.astype(np.complex128)[None]
+    for kraus in kraus_steps:
+        stack = states[:, None]
+        signed = (
+            proj_plus @ stack @ proj_plus - proj_minus @ stack @ proj_minus
+        ).reshape(-1, d, d)
+        states = np.einsum("aij,pjl,aml->pim", kraus, signed, kraus.conj(), optimize=True)
+    expectations = np.einsum("nij,kji->nk", states, paulis).real
+    return expectations.reshape((p,) * (len(kraus_steps) + 1))
 
 
 def assemble_from_expectations(expectations: np.ndarray, paulis: np.ndarray) -> np.ndarray:

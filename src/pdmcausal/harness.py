@@ -2,10 +2,8 @@
 
 Every reproduction scenario asserts its own expected outcomes and raises
 NumericalInconsistencyError on mismatch, so a clean exit certifies the run.
-Sweeps derive one Philox stream per sample as ``seed ^ index`` and assemble
-rows in index order, making the output a deterministic function of
-(scenario, parameters, seed) regardless of thread count.  The env var
-``PDM_CAUSAL_THREADS`` caps worker threads (default 1).
+Sweeps derive one Philox stream per sample as ``seed ^ index``, making the
+output a deterministic function of (scenario, parameters, seed).
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,22 +219,6 @@ def run_swap_influence(thetas_deg=DEFAULT_THETAS_DEG):
 # Monte-Carlo sweeps
 # ---------------------------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("PDM_CAUSAL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, indices):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, indices))
-
-
 def _pdm_row(pdm, sample_id: int, extra: dict) -> dict:
     f = negativity(pdm)
     fwd = extract_choi(pdm)
@@ -309,7 +289,7 @@ def run_haar_sweep(scenario: str, n: int = 1000, seed: int = 0, thetas_deg=(30, 
     else:
         raise ValueError(f"unknown sweep scenario {scenario!r}")
 
-    rows = [row for chunk in _parallel_map(work, range(n)) for row in chunk]
+    rows = [row for i in range(n) for row in work(i)]
     counts: dict = {}
     for row in rows:
         key = row[group_key]

@@ -129,7 +129,6 @@ def pdm_from_measurements(
     rho1: QuantumState,
     channels: Sequence[QuantumChannel],
     labels: Sequence[str] | None = None,
-    engine: str | None = None,
 ) -> PDM:
     """Definitional construction by simulating every measurement tuple.
 
@@ -151,7 +150,7 @@ def pdm_from_measurements(
         )
     paulis = np.asarray(pauli_basis(n))
     kraus_steps = [np.asarray(ch.kraus_operators) for ch in channels]
-    expectations = expectation_tensor(rho1.mat.data, kraus_steps, paulis, engine=engine)
+    expectations = expectation_tensor(rho1.mat.data, kraus_steps, paulis)
     data = assemble_from_expectations(expectations, paulis)
     return _wrap(data, [n] * m, labels)
 

@@ -3,7 +3,7 @@
 Every stochastic entry point takes either an integer seed or a ready
 ``numpy.random.Generator``.  Seeds are turned into Philox streams, so a
 sweep can derive independent per-sample streams as ``seed ^ index`` and stay
-bit-reproducible regardless of execution order or thread count.
+bit-reproducible regardless of execution order.
 """
 
 from __future__ import annotations

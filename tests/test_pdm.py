@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdmcausal._kernels import HAVE_NUMBA, assemble_from_expectations
+from pdmcausal._kernels import assemble_from_expectations
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
@@ -16,6 +18,7 @@ from pdmcausal.channels import (
 from pdmcausal.linalg import ComplexMatrix, max_abs_diff, swap_operator
 from pdmcausal.pauli import SIGMA, pauli_basis
 from pdmcausal.pdm import (
+    MAX_SLOT_QUBITS,
     PDM,
     Slot,
     marginal_state,
@@ -290,23 +293,24 @@ def test_assembler_matches_direct_sum():
     assert max_abs_diff(assemble_from_expectations(e, paulis), direct) < 1e-13
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-def test_kernel_engines_agree():
-    rng = generator(2028)
-    cases = [
-        (random_state(4, rng, factors=(2, 2)), [random_channel(4, rng)]),
-        (random_state(2, rng), [random_channel(2, rng), random_channel(2, rng)]),
-    ]
-    for rho, chain in cases:
-        a = pdm_from_measurements(rho, chain, engine="numpy")
-        b = pdm_from_measurements(rho, chain, engine="numba")
-        assert max_abs_diff(a.mat.data, b.mat.data) < 1e-13
+@st.composite
+def measured_chains(draw):
+    """A random state and channel chain within the definitional builder's cap.
+
+    Each step draws its Kraus count from 1 (a unitary step) to d**2.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, MAX_SLOT_QUBITS // n))
+    d = 2**n
+    counts = draw(st.lists(st.integers(1, d * d), min_size=m - 1, max_size=m - 1))
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = random_state(d, rng, factors=(2,) * n)
+    return rho, [random_channel(d, rng, kraus_count=k) for k in counts]
 
 
-def test_engine_env_flag(monkeypatch):
-    from pdmcausal import _kernels
-
-    monkeypatch.setenv("PDM_CAUSAL_NUMBA", "0")
-    assert not _kernels.numba_enabled()
-    monkeypatch.setenv("PDM_CAUSAL_NUMBA", "auto")
-    assert _kernels.numba_enabled() == _kernels.HAVE_NUMBA
+@settings(max_examples=60, deadline=None)
+@given(measured_chains())
+def test_oracle_matches_iterative_on_drawn_chains(chain):
+    rho, channels = chain
+    oracle = pdm_from_measurements(rho, channels)
+    assert max_abs_diff(oracle.mat.data, pdm_iterative(rho, channels).mat.data) < 1e-10
