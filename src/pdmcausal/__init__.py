@@ -15,11 +15,8 @@ from .linalg import (
     matrix_to_json,
     partial_trace,
     permute_factors,
-    pseudo_inverse,
     swap_operator,
     trace_norm,
-    unvectorize,
-    vectorize,
 )
 from .pauli import (
     PauliString,

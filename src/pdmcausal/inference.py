@@ -4,9 +4,10 @@ Vectorizing the anticommutator closed form turns Choi extraction into the
 linear system  J vec(M) = vec(R)  with  J = (rho tensor I + I tensor rho^T)/2
 and rho the first-slot marginal padded with the output identity.  When the
 marginal is full rank the solution is unique; otherwise the pseudo-inverse
-gives the minimum-norm member of an affine solution family and a small
-splitting solver picks the family member whose input-transposed matrix is
-least negative.
+gives the minimum-norm member of an affine solution family, which is free
+only in the ker(marginal) tensor out block.  A small splitting solver
+searches that block, with a closed-form projection onto the trace-preserving
+members, for the one whose input-transposed matrix is least negative.
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +31,11 @@ from .linalg import ComplexMatrix, NumericalInconsistencyError, max_abs_diff
 from .pdm import PDM, marginal_state, negativity, reduce, time_reverse
 
 RESIDUAL_LIMIT = 1e-6
+PINV_RCOND = 1e-10
+# Douglas-Rachford step, iteration cap and objective stall tolerance
+SDP_STEP = 1.0
+SDP_MAX_ITERATIONS = 50_000
+SDP_OBJECTIVE_TOL = 1e-6
 
 
 class CausalStructure(IntEnum):
@@ -81,7 +86,7 @@ class ExtractionResult:
 
 
 def jordan_product_matrix(first_marginal, out_dim: int) -> ComplexMatrix:
-    """Matrix of X -> (rho X + X rho)/2 on row-major vectorized operators.
+    """Matrix of X -> (rho X + X rho)/2 on row-major flattened operators.
 
     ``rho`` is the first-slot marginal padded with the identity on the
     output slot.  Hermitian PSD; its eigenvalues are the pairwise means of
@@ -101,9 +106,7 @@ def _two_slot_dims(pdm: PDM) -> tuple[int, int]:
     return 2 ** pdm.slots[0].qubits, 2 ** pdm.slots[1].qubits
 
 
-def extract_choi(
-    pdm: PDM, thresholds: Thresholds = Thresholds(), rcond: float = 1e-10
-) -> ExtractionResult:
+def extract_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionResult:
     """Solve J vec(M) = vec(R) for the forward Choi matrix.
 
     Raises NumericalInconsistencyError when no member of the closed-form
@@ -113,7 +116,7 @@ def extract_choi(
     marg = marginal_state(pdm, 0)
     jmat = jordan_product_matrix(marg, dout).data
     rvec = pdm.mat.data.reshape(-1)
-    mvec = np.linalg.pinv(jmat, rcond=rcond) @ rvec
+    mvec = np.linalg.pinv(jmat, rcond=PINV_RCOND) @ rvec
     residual = float(np.linalg.norm(jmat @ mvec - rvec))
     if residual > RESIDUAL_LIMIT:
         raise NumericalInconsistencyError(
@@ -127,56 +130,26 @@ def extract_choi(
     return ExtractionResult(choi, residual, unique, min_eig)
 
 
-def extract_reverse_choi(
-    pdm: PDM, thresholds: Thresholds = Thresholds(), rcond: float = 1e-10
-) -> ExtractionResult:
+def extract_reverse_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionResult:
     """Extraction applied to the time-reversed PDM.
 
     The returned matrix has the later slot as its input factor; conjugate
     with the swap to express it in the original slot order.
     """
-    return extract_choi(time_reverse(pdm), thresholds, rcond)
+    return extract_choi(time_reverse(pdm), thresholds)
 
 
 # ---------------------------------------------------------------------------
 # Least-negative completion (small dense SDP via operator splitting)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Orthonormal basis of Hermitian dim x dim matrices (Frobenius inner product)."""
-    elems = []
-    for i in range(dim):
-        e = np.zeros((dim, dim), dtype=np.complex128)
-        e[i, i] = 1.0
-        elems.append(e)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = inv_sqrt2
-            e[j, i] = inv_sqrt2
-            elems.append(e)
-            e = np.zeros((dim, dim), dtype=np.complex128)
-            e[i, j] = 1j * inv_sqrt2
-            e[j, i] = -1j * inv_sqrt2
-            elems.append(e)
-    basis = np.array(elems)
-    basis.setflags(write=False)
-    return basis
-
-
-def _to_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,ij->k", basis.conj(), x).real
-
-
-def _from_coords(c: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.tensordot(c, basis, axes=([0], [0]))
-
-
 def _input_transpose_raw(x: np.ndarray, din: int, dout: int) -> np.ndarray:
     d = din * dout
     return x.reshape(din, dout, din, dout).transpose(2, 1, 0, 3).reshape(d, d)
+
+
+def _trace_out(x: np.ndarray, din: int, dout: int) -> np.ndarray:
+    return np.trace(x.reshape(din, dout, din, dout), axis1=1, axis2=3)
 
 
 def _neg_part_trace(x: np.ndarray) -> float:
@@ -194,52 +167,41 @@ def _prox_neg_part(x: np.ndarray, t: float, din: int, dout: int) -> np.ndarray:
 
 
 def sdp_least_negative(
-    pdm: PDM,
-    direction: str = "forward",
-    thresholds: Thresholds = Thresholds(),
-    step: float = 1.0,
-    max_iterations: int = 50_000,
-    objective_tol: float = 1e-6,
+    pdm: PDM, direction: str = "forward", thresholds: Thresholds = Thresholds()
 ) -> ExtractionResult:
     """Least-negative member of the affine Choi solution family.
 
     Minimizes the trace of the negative part of the input-transposed matrix
     over Hermitian, trace-preserving solutions of J vec(N) = vec(R), by
     Douglas-Rachford splitting: alternate exact projection onto the affine
-    set (precomputed pseudo-inverse of the stacked constraints) with the
-    eigenvalue-clipping prox of the objective.
+    set with the eigenvalue-clipping prox of the objective.
+
+    The solutions are the minimum-norm extraction M0 with its Q = Pk tensor I
+    block replaced, where Pk projects onto the marginal eigenvectors with
+    eigenvalue at most rank_tol.  The projection is closed form: keep M0
+    outside that block, keep the Hermitian part of the argument inside it,
+    and shift by (Pk Tr_out(.) Pk - Pk) tensor I / dout to restore Tr_out = I.
     """
     if direction == "reverse":
         pdm = time_reverse(pdm)
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'reverse'")
     din, dout = _two_slot_dims(pdm)
-    d = din * dout
-    marg = marginal_state(pdm, 0)
-    jmat = jordan_product_matrix(marg, dout).data
-
-    basis = _hermitian_basis(d)
-    basis_in = _hermitian_basis(din)
-    n_coord = d * d
-    # constraint map in real Hermitian coordinates, one column per basis element
-    cols_j = np.empty((n_coord, n_coord))
-    cols_t = np.empty((din * din, n_coord))
-    for k in range(n_coord):
-        e = basis[k]
-        cols_j[:, k] = _to_coords((jmat @ e.reshape(-1)).reshape(d, d), basis)
-        tr_out = np.trace(e.reshape(din, dout, din, dout), axis1=1, axis2=3)
-        cols_t[:, k] = _to_coords(tr_out, basis_in)
-    cmat = np.vstack([cols_j, cols_t])
-    b = np.concatenate(
-        [_to_coords(pdm.mat.data, basis), _to_coords(np.eye(din), basis_in)]
-    )
-    cpinv = np.linalg.pinv(cmat, rcond=1e-12)
+    base = extract_choi(pdm, thresholds)
+    m0 = base.choi.data
+    marg = marginal_state(pdm, 0).mat.data
+    w, v = np.linalg.eigh(marg)
+    kernel = v[:, w <= thresholds.rank_tol]
+    pk = kernel @ kernel.conj().T
+    q = np.kron(pk, np.eye(dout))
+    fixed = m0 - q @ m0 @ q
 
     def project(x: np.ndarray) -> np.ndarray:
-        return x - cpinv @ (cmat @ x - b)
+        x = q @ (0.5 * (x + x.conj().T)) @ q
+        return fixed + x - np.kron(_trace_out(x, din, dout) - pk, np.eye(dout)) / dout
 
-    x0 = project(np.zeros(n_coord))
-    floor = float(np.linalg.norm(cmat @ x0 - b))
+    x0 = project(np.zeros_like(m0))
+    floor = float(np.linalg.norm(_trace_out(x0, din, dout) - np.eye(din)))
     if floor > RESIDUAL_LIMIT:
         raise NumericalInconsistencyError(
             f"no Hermitian trace-preserving solution reproduces the PDM (floor {floor:.3e})"
@@ -253,17 +215,16 @@ def sdp_least_negative(
     converged = False
     iterations = 0
     stall = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
-        ymat = _from_coords(y, basis)
-        obj = _neg_part_trace(_input_transpose_raw(ymat, din, dout))
+        obj = _neg_part_trace(_input_transpose_raw(y, din, dout))
         if obj < best_obj:
             best_obj = obj
             best = y
         stalled = (
             y_prev is not None
             and np.linalg.norm(y - y_prev) <= 1e-10 * max(1.0, np.linalg.norm(y))
-            and abs(obj - obj_prev) <= objective_tol
+            and abs(obj - obj_prev) <= SDP_OBJECTIVE_TOL
         )
         if stalled:
             stall += 1
@@ -274,18 +235,17 @@ def sdp_least_negative(
             stall = 0
         y_prev = y
         obj_prev = obj
-        w = _prox_neg_part(_from_coords(2.0 * y - z, basis), step, din, dout)
-        z = z + _to_coords(w, basis) - y
+        z = z + _prox_neg_part(2.0 * y - z, SDP_STEP, din, dout) - y
 
-    n_best = _from_coords(project(best), basis)
+    n_best = project(best)
     n_best = 0.5 * (n_best + n_best.conj().T)
     choi = ComplexMatrix(n_best, (din, dout))
-    residual = float(np.linalg.norm(jmat @ n_best.reshape(-1) - pdm.mat.data.reshape(-1)))
-    unique = bool(np.linalg.eigvalsh(marg.mat.data).min() > thresholds.rank_tol)
+    rho = np.kron(marg, np.eye(dout))
+    residual = float(np.linalg.norm(0.5 * (rho @ n_best + n_best @ rho) - pdm.mat.data))
     min_eig = float(np.linalg.eigvalsh(input_transpose(choi).data).min())
     objective = _neg_part_trace(_input_transpose_raw(n_best, din, dout))
     return ExtractionResult(
-        choi, residual, unique, min_eig, objective, iterations, converged
+        choi, residual, base.unique, min_eig, objective, iterations, converged
     )
 
 
@@ -326,7 +286,8 @@ class CausalVerdict:
 
 
 def _evidence(pdm: PDM, direction: str, thresholds: Thresholds) -> ExtractionResult:
-    base = extract_choi(pdm) if direction == "forward" else extract_reverse_choi(pdm)
+    extract = extract_choi if direction == "forward" else extract_reverse_choi
+    base = extract(pdm, thresholds)
     if base.unique:
         return base
     return sdp_least_negative(pdm, direction, thresholds)

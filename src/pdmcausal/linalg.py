@@ -1,13 +1,9 @@
 """Dense complex matrix algebra with explicit tensor-factor bookkeeping.
 
 Every matrix in this package is square, complex and carries the ordered list
-of tensor-factor dimensions it lives on.  Partial traces, factor permutations
-and vectorization all key off that list, so the one global convention is
-fixed here: the leftmost factor is the slowest (most significant) index.
-
-Vectorization is row-major, i.e. ``vec(A) = (A[0,0], A[0,1], ...)``, which
-gives the identities ``vec(X F) = (X tensor I) vec(F)`` and
-``vec(F Z) = (I tensor Z^T) vec(F)``.
+of tensor-factor dimensions it lives on.  Partial traces and factor
+permutations key off that list, so the one global convention is fixed here:
+the leftmost factor is the slowest (most significant) index.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 HERMITICITY_RTOL = 1e-10
-DEFAULT_PINV_RCOND = 1e-10
 
 
 class NumericalInconsistencyError(RuntimeError):
@@ -189,28 +184,6 @@ def trace_norm(m) -> float:
     if is_hermitian(a):
         return float(np.abs(np.linalg.eigvalsh(a)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def pseudo_inverse(m, rcond: float = DEFAULT_PINV_RCOND) -> ComplexMatrix:
-    """Moore-Penrose pseudo-inverse, dropping singular values below rcond*s_max."""
-    if rcond <= 0:
-        raise ValueError("rcond must be positive")
-    a = _as_array(m)
-    factors = m.factors if isinstance(m, ComplexMatrix) else None
-    return ComplexMatrix(np.linalg.pinv(a, rcond=rcond), factors)
-
-
-def vectorize(m) -> np.ndarray:
-    """Row-major stacking of the entries, so vec(X F Z) = (X tensor Z^T) vec(F)."""
-    return _as_array(m).reshape(-1).copy()
-
-
-def unvectorize(v: np.ndarray, factors: Sequence[int] | None = None) -> ComplexMatrix:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    dim = math.isqrt(v.size)
-    if dim * dim != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return ComplexMatrix(v.reshape(dim, dim), factors)
 
 
 def swap_operator(d: int) -> ComplexMatrix:

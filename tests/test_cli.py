@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from pdmcausal.channels import QuantumState, measure_prepare_z
 from pdmcausal.cli import main
 from pdmcausal.linalg import ComplexMatrix, matrix_to_json
+from pdmcausal.pdm import pdm_closed_form, pdm_to_json
 
 
 def run(argv, capsys):
@@ -77,6 +79,20 @@ def test_classify_verdict(tmp_path, capsys):
     verdict = json.loads(text)
     assert verdict["compatible"] == [1]
     assert verdict["compatible_reversed"] == [2]
+
+
+def test_classify_rank_tol_flag(tmp_path, capsys):
+    rho = QuantumState.of(np.diag([0.999, 0.001]))
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps(pdm_to_json(pdm_closed_form(rho, measure_prepare_z()))))
+    code, text, _ = run(["infer", "classify", "--in", str(path)], capsys)
+    assert code == 0
+    assert json.loads(text)["unique_forward"] is True
+    code, text, _ = run(["infer", "classify", "--in", str(path), "--rank-tol", "1e-2"], capsys)
+    assert code == 0
+    verdict = json.loads(text)
+    assert verdict["unique_forward"] is False
+    assert verdict["thresholds"]["rank_tol"] == 1e-2
 
 
 def test_reproduce_measure_prepare(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmcausal.channels import (
     QuantumChannel,
@@ -13,6 +15,7 @@ from pdmcausal.channels import (
     random_semicausal,
     random_state,
 )
+from pdmcausal import inference
 from pdmcausal.inference import (
     CausalStructure,
     Thresholds,
@@ -21,7 +24,6 @@ from pdmcausal.inference import (
     extract_reverse_choi,
     jordan_product_matrix,
     sdp_least_negative,
-    _hermitian_basis,
 )
 from pdmcausal.linalg import (
     ComplexMatrix,
@@ -31,7 +33,7 @@ from pdmcausal.linalg import (
     swap_operator,
 )
 from pdmcausal.pauli import SIGMA
-from pdmcausal.pdm import PDM, Slot, pdm_closed_form, reduce
+from pdmcausal.pdm import PDM, Slot, marginal_state, pdm_closed_form, reduce
 from pdmcausal.rng import generator
 
 from oracles import grid_oracle_objective
@@ -157,12 +159,6 @@ def test_extract_inconsistent_pdm_rejected():
 # Least-negative completion
 # ---------------------------------------------------------------------------
 
-def test_hermitian_basis_orthonormal():
-    basis = _hermitian_basis(4)
-    gram = np.einsum("aij,bij->ab", basis.conj(), basis).real
-    assert max_abs_diff(gram, np.eye(16)) < 1e-14
-
-
 def test_sdp_identity_instance_reaches_zero():
     r = pdm_closed_form(QuantumState.from_ket([1, 0]), QuantumChannel.identity(2))
     res = sdp_least_negative(r, "forward")
@@ -220,9 +216,58 @@ def test_sdp_rejects_infeasible_data():
         sdp_least_negative(pdm, "forward")
 
 
+@st.composite
+def rank_deficient_two_qubit_slots(draw):
+    """PDM of a rank-1..3 two-qubit first state through a random or semicausal channel."""
+    rank = draw(st.integers(1, 3))
+    semicausal = draw(st.booleans())
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = random_state(4, rng, rank=rank, factors=(2, 2))
+    ch = random_semicausal(2, 2, 2, rng) if semicausal else random_channel(4, rng)
+    return pdm_closed_form(rho, ch)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank_deficient_two_qubit_slots())
+def test_sdp_stays_in_family_on_two_qubit_slots(r):
+    base = extract_choi(r)
+    res = sdp_least_negative(r, "forward")
+    n = res.choi.data
+    assert not res.unique
+    assert max_abs_diff(n, n.conj().T) == 0
+    assert max_abs_diff(partial_trace(res.choi, {0}).data, np.eye(4)) <= 1e-7
+    assert res.residual <= 1e-7
+    # only the ker(marginal) tensor out block may differ from the extraction
+    w, v = np.linalg.eigh(marginal_state(r, 0).mat.data)
+    kernel = v[:, w <= Thresholds.rank_tol]
+    q = np.kron(kernel @ kernel.conj().T, np.eye(4))
+    moved = n - base.choi.data
+    assert max_abs_diff(moved, q @ moved @ q) <= 1e-9
+    eigs = np.linalg.eigvalsh(input_transpose(base.choi).data)
+    assert res.objective <= -eigs[eigs < 0].sum()
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
+
+def test_classify_rank_tol_selects_sdp_route(monkeypatch):
+    r = pdm_closed_form(QuantumState.of(np.diag([0.999, 0.001])), measure_prepare_z())
+    calls = []
+    original = inference.sdp_least_negative
+
+    def spy(pdm, direction, thresholds):
+        calls.append(direction)
+        return original(pdm, direction, thresholds)
+
+    monkeypatch.setattr(inference, "sdp_least_negative", spy)
+    default = classify(r)
+    assert default.unique_forward and default.unique_reverse
+    assert calls == []
+    loose = classify(r, Thresholds(rank_tol=1e-2))
+    assert not loose.unique_forward and not loose.unique_reverse
+    assert calls == ["forward", "reverse"]
+
 
 def test_classify_measure_prepare_is_forward():
     for lam in (0.1, 0.5, 0.9):

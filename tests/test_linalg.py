@@ -12,11 +12,8 @@ from pdmcausal.linalg import (
     partial_trace,
     permute_factors,
     embed_operator,
-    pseudo_inverse,
     swap_operator,
     trace_norm,
-    unvectorize,
-    vectorize,
 )
 from pdmcausal.pauli import SIGMA
 
@@ -131,40 +128,6 @@ def test_trace_norm_lower_bound():
     # strict inequality as soon as a negative eigenvalue appears
     indefinite = np.diag([1.0, -0.25, 0.5, 0.0])
     assert trace_norm(indefinite) > abs(np.trace(indefinite)) + 0.4
-
-
-def test_pseudo_inverse():
-    m = ComplexMatrix(random_matrix(4) + 4 * np.eye(4))
-    assert max_abs_diff(pseudo_inverse(m).data, np.linalg.inv(m.data)) < 1e-9
-    d = ComplexMatrix(np.diag([1.0, 0.0]))
-    assert max_abs_diff(pseudo_inverse(d).data, d.data) < 1e-14
-    # Moore-Penrose conditions on a rank-deficient matrix
-    a = random_matrix(4)
-    a[:, 0] = a[:, 1]
-    p = pseudo_inverse(ComplexMatrix(a)).data
-    assert max_abs_diff(a @ p @ a, a) < 1e-8 * 4
-    assert max_abs_diff(p @ a @ p, p) < 1e-8 * 4
-    with pytest.raises(ValueError):
-        pseudo_inverse(ComplexMatrix(a), rcond=0)
-
-
-def test_vectorize_conventions():
-    m = np.zeros((2, 2))
-    m[0, 1] = 1.0
-    assert np.allclose(vectorize(m), [0, 1, 0, 0])
-    x, f, z = random_matrix(4), random_matrix(4), random_matrix(4)
-    assert np.abs(vectorize(x @ f) - np.kron(x, np.eye(4)) @ vectorize(f)).max() < 1e-10
-    assert np.abs(vectorize(f @ z) - np.kron(np.eye(4), z.T) @ vectorize(f)).max() < 1e-10
-    assert np.abs(
-        vectorize(x @ f @ z) - np.kron(x, z.T) @ vectorize(f)
-    ).max() < 1e-10
-    m8 = random_matrix(8)
-    assert max_abs_diff(unvectorize(vectorize(m8)).data, m8) == 0
-
-
-def test_unvectorize_rejects_bad_length():
-    with pytest.raises(ValueError):
-        unvectorize(np.zeros(5))
 
 
 def test_swap_operator():
