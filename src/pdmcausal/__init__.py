@@ -8,36 +8,21 @@ classify the observed correlations among five causal structures.
 from .linalg import (
     ComplexMatrix,
     NumericalInconsistencyError,
-    eig_hermitian,
-    identity,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
     permute_factors,
     swap_operator,
-    trace_norm,
 )
-from .pauli import (
-    PauliString,
-    coarse_projectors,
-    matrix_from_pauli,
-    pauli_basis,
-    pauli_coefficients,
-    pauli_matrix,
-)
+from .pauli import pauli_basis
 from .channels import (
     QuantumChannel,
     QuantumState,
-    apply,
     channel_from_id,
     channel_from_json,
-    channel_to_json,
     choi_of,
-    effective_channel,
     haar_unitary,
     input_transpose,
-    is_cp,
     measure_prepare_z,
     partial_swap,
     random_channel,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +24,11 @@ from .linalg import (
     ComplexMatrix,
     _as_array,
     embed_operator,
-    identity,
     is_hermitian,
     matrix_from_json,
-    matrix_to_json,
     partial_trace,
     swap_operator,
 )
-from .pauli import pauli_basis
 from .rng import generator
 
 TRACE_ATOL = 1e-10
@@ -78,10 +75,6 @@ class QuantumState:
     @classmethod
     def maximally_mixed(cls, dim: int, factors: Sequence[int] | None = None) -> "QuantumState":
         return cls(ComplexMatrix(np.eye(dim) / dim, factors))
-
-
-def marginal(state: QuantumState, keep) -> QuantumState:
-    return QuantumState(partial_trace(state.mat, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -165,36 +158,13 @@ class QuantumChannel:
             return self.payload[0]
         return _kraus_to_choi(self.kraus_operators, self.dim_in, self.dim_out)
 
-    def apply_matrix(self, a: np.ndarray) -> np.ndarray:
-        """Linear action on an arbitrary operator (not only states)."""
-        return sum(k @ a @ k.conj().T for k in self.kraus_operators)
-
     def __repr__(self) -> str:
         return f"QuantumChannel(rep={self.rep!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"
-
-
-def apply(ch: QuantumChannel, state: QuantumState) -> QuantumState:
-    if state.dim != ch.dim_in:
-        raise ValueError(f"state dim {state.dim} != channel input dim {ch.dim_in}")
-    out = ch.apply_matrix(state.mat.data)
-    return QuantumState(ComplexMatrix(out))
 
 
 def choi_of(ch: QuantumChannel) -> ComplexMatrix:
     """Input-transposed Choi matrix with Tr_out = I, factors (dim_in, dim_out)."""
     return ch.choi
-
-
-def choi_pauli_form(ch: QuantumChannel) -> ComplexMatrix:
-    """Same matrix computed as 2**-n sum_i sigma_i tensor Ch(sigma_i)."""
-    if ch.dim_in != ch.dim_out:
-        raise ValueError("Pauli form needs equal input and output dimensions")
-    n = (ch.dim_in).bit_length() - 1
-    if 2**n != ch.dim_in:
-        raise ValueError("Pauli form needs a power-of-two dimension")
-    basis = pauli_basis(n)
-    acc = sum(np.kron(sigma, ch.apply_matrix(sigma)) for sigma in basis)
-    return ComplexMatrix(acc / ch.dim_in, (ch.dim_in, ch.dim_out))
 
 
 def input_transpose(m: ComplexMatrix) -> ComplexMatrix:
@@ -204,20 +174,6 @@ def input_transpose(m: ComplexMatrix) -> ComplexMatrix:
     d1, d2 = m.factors
     t = m.data.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3)
     return ComplexMatrix(t.reshape(m.dim, m.dim), m.factors)
-
-
-class CpCheck(NamedTuple):
-    ok: bool
-    min_eig: float
-
-
-def is_cp(choi: ComplexMatrix, eps: float = 1e-8) -> CpCheck:
-    """Complete positivity of the map behind an input-transposed Choi matrix."""
-    a = choi.data
-    if not is_hermitian(a):
-        raise ValueError("Choi matrix is not Hermitian")
-    w = np.linalg.eigvalsh(input_transpose(choi).data)
-    return CpCheck(bool(w.min() >= -eps), float(w.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -265,42 +221,6 @@ def semicausal(
                     bra[0, e] = 1.0
                     kraus.append(np.kron(eye_ab, bra) @ stage)
     return QuantumChannel.from_kraus(kraus)
-
-
-def effective_channel(
-    ch: QuantumChannel,
-    dims: tuple[int, int],
-    pin: int,
-    pin_state: QuantumState,
-    keep: int,
-) -> QuantumChannel:
-    """One-sided reduction of a bipartite channel.
-
-    The input factor ``pin`` is fixed to ``pin_state``; everything except
-    output factor ``keep`` is traced out.  Returns the induced channel from
-    the free input factor to the kept output factor.
-    """
-    da, db = dims
-    if ch.dim_in != da * db or ch.dim_out != da * db:
-        raise ValueError("channel dimensions do not match the factor split")
-    if pin_state.dim != dims[pin]:
-        raise ValueError("pinned state dimension mismatch")
-    free = 1 - pin
-    d_free = dims[free]
-    d_keep = dims[keep]
-    blocks = np.zeros((d_free, d_free, d_keep, d_keep), dtype=np.complex128)
-    for i in range(d_free):
-        for j in range(d_free):
-            unit = np.zeros((d_free, d_free), dtype=np.complex128)
-            unit[i, j] = 1.0
-            parts = [None, None]
-            parts[free] = unit
-            parts[pin] = pin_state.mat.data
-            x = np.kron(parts[0], parts[1])
-            y = ComplexMatrix(ch.apply_matrix(x), dims)
-            blocks[i, j] = partial_trace(y, {keep}).data
-    m = np.einsum("ijab->jaib", blocks).reshape(d_free * d_keep, d_free * d_keep)
-    return QuantumChannel.from_choi(ComplexMatrix(m, (d_free, d_keep)))
 
 
 def partial_swap(theta: float) -> QuantumChannel:
@@ -400,22 +320,14 @@ def channel_from_id(name: str) -> QuantumChannel:
     raise ValueError(f"unknown channel id {name!r}")
 
 
-def channel_to_json(ch: QuantumChannel) -> dict:
-    if ch.rep == "kraus":
-        mats = [matrix_to_json(ComplexMatrix(k)) for k in ch.payload]
-    elif ch.rep == "unitary":
-        mats = [matrix_to_json(ComplexMatrix(ch.payload[0]))]
-    else:
-        mats = [matrix_to_json(ch.payload[0])]
-    return {"rep": ch.rep, "dim_in": ch.dim_in, "dim_out": ch.dim_out, "matrices": mats}
-
-
 def channel_from_json(obj: dict) -> QuantumChannel:
     try:
         rep = obj["rep"]
         mats = [matrix_from_json(m) for m in obj["matrices"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
+    if not mats:
+        raise ValueError("malformed channel JSON: empty matrix list")
     if rep == "kraus":
         return QuantumChannel.from_kraus([m.data for m in mats])
     if rep == "unitary":
@@ -423,6 +335,12 @@ def channel_from_json(obj: dict) -> QuantumChannel:
     if rep == "choi":
         m = mats[0]
         if m.nfactors != 2:
-            m = m.with_factors((int(obj["dim_in"]), int(obj["dim_out"])))
+            try:
+                factors = (int(obj["dim_in"]), int(obj["dim_out"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed channel JSON: choi rep needs dim_in and dim_out: {exc}"
+                ) from exc
+            m = ComplexMatrix(m.data, factors)
         return QuantumChannel.from_choi(m)
     raise ValueError(f"unknown channel rep {rep!r}")

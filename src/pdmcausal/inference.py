@@ -100,6 +100,11 @@ def jordan_product_matrix(first_marginal, out_dim: int) -> ComplexMatrix:
     return ComplexMatrix(j, (d, d))
 
 
+def _rank_deficient(w: np.ndarray, thresholds: Thresholds) -> np.ndarray:
+    """Marginal eigenvalues treated as zero; the one rank rule of this module."""
+    return w <= thresholds.rank_tol
+
+
 def _two_slot_dims(pdm: PDM) -> tuple[int, int]:
     if len(pdm.slots) != 2:
         raise ValueError("extraction is defined for exactly two slots")
@@ -125,7 +130,7 @@ def extract_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionR
     m = mvec.reshape(din * dout, din * dout)
     m = 0.5 * (m + m.conj().T)
     choi = ComplexMatrix(m, (din, dout))
-    unique = bool(np.linalg.eigvalsh(marg.mat.data).min() > thresholds.rank_tol)
+    unique = not _rank_deficient(np.linalg.eigvalsh(marg.mat.data), thresholds).any()
     min_eig = float(np.linalg.eigvalsh(input_transpose(choi).data).min())
     return ExtractionResult(choi, residual, unique, min_eig)
 
@@ -191,7 +196,7 @@ def sdp_least_negative(
     m0 = base.choi.data
     marg = marginal_state(pdm, 0).mat.data
     w, v = np.linalg.eigh(marg)
-    kernel = v[:, w <= thresholds.rank_tol]
+    kernel = v[:, _rank_deficient(w, thresholds)]
     pk = kernel @ kernel.conj().T
     q = np.kron(pk, np.eye(dout))
     fixed = m0 - q @ m0 @ q
@@ -286,11 +291,13 @@ class CausalVerdict:
 
 
 def _evidence(pdm: PDM, direction: str, thresholds: Thresholds) -> ExtractionResult:
-    extract = extract_choi if direction == "forward" else extract_reverse_choi
-    base = extract(pdm, thresholds)
-    if base.unique:
-        return base
-    return sdp_least_negative(pdm, direction, thresholds)
+    """Unique extraction, or the least-negative completion when the oriented
+    first marginal is rank deficient; either way the PDM is extracted once."""
+    oriented = pdm if direction == "forward" else time_reverse(pdm)
+    w = np.linalg.eigvalsh(marginal_state(oriented, 0).mat.data)
+    if _rank_deficient(w, thresholds).any():
+        return sdp_least_negative(pdm, direction, thresholds)
+    return extract_choi(oriented, thresholds)
 
 
 def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:

@@ -64,41 +64,16 @@ class ComplexMatrix:
     def nfactors(self) -> int:
         return len(self.factors)
 
-    def dagger(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.data.conj().T, self.factors)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-    def with_factors(self, factors: Sequence[int]) -> "ComplexMatrix":
-        """Same entries, reinterpreted factor structure."""
-        return ComplexMatrix(self.data, tuple(factors))
-
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"ComplexMatrix(dim={self.dim}, factors={self.factors})"
 
 
-def identity(dim: int, factors: Sequence[int] | None = None) -> ComplexMatrix:
-    return ComplexMatrix(np.eye(dim, dtype=np.complex128), factors)
-
-
-def is_hermitian(m, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(m) -> bool:
     a = _as_array(m)
     scale = np.abs(a).max()
     if scale == 0.0:
         return True
-    return np.abs(a - a.conj().T).max() <= rtol * scale
-
-
-def _require_hermitian(a: np.ndarray, what: str = "matrix"):
-    if not is_hermitian(a):
-        dev = np.abs(a - a.conj().T).max()
-        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product; ``a`` is the left (slow) factor."""
-    return ComplexMatrix(np.kron(a.data, b.data), a.factors + b.factors)
+    return np.abs(a - a.conj().T).max() <= HERMITICITY_RTOL * scale
 
 
 def partial_trace(m: ComplexMatrix, keep: Iterable[int]) -> ComplexMatrix:
@@ -156,34 +131,6 @@ def embed_operator(
         tuple(factors[i] for i in cur_order),
     )
     return permute_factors(full, [cur_order.index(j) for j in range(len(factors))])
-
-
-def eig_hermitian(m) -> tuple[np.ndarray, ComplexMatrix]:
-    """Eigen-decompose a Hermitian matrix.
-
-    Returns eigenvalues in descending order and the matching unitary of
-    column eigenvectors.  Non-Hermitian input is rejected.
-    """
-    a = _as_array(m)
-    _require_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    factors = m.factors if isinstance(m, ComplexMatrix) else None
-    return w[::-1].copy(), ComplexMatrix(v[:, ::-1], factors)
-
-
-def eigvals_hermitian(m) -> np.ndarray:
-    """Descending real eigenvalues of a Hermitian matrix."""
-    a = _as_array(m)
-    _require_hermitian(a)
-    return np.linalg.eigvalsh(a)[::-1].copy()
-
-
-def trace_norm(m) -> float:
-    """Sum of singular values; for Hermitian input the sum of |eigenvalues|."""
-    a = _as_array(m)
-    if is_hermitian(a):
-        return float(np.abs(np.linalg.eigvalsh(a)).sum())
-    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def swap_operator(d: int) -> ComplexMatrix:

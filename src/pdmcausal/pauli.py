@@ -1,4 +1,4 @@
-"""Multi-qubit Pauli observables and the coarse-grained two-outcome projectors.
+"""Multi-qubit Pauli observables.
 
 A Pauli word on n qubits is indexed by a base-4 string; digit k picks the
 single-qubit Pauli acting on qubit k, with qubit 0 the leftmost (most
@@ -7,12 +7,9 @@ significant) tensor factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .linalg import ComplexMatrix, _as_array
 
 SIGMA = (
     np.array([[1, 0], [0, 1]], dtype=np.complex128),
@@ -20,47 +17,6 @@ SIGMA = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """Base-4 word indexing an n-qubit Pauli observable."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        digits = tuple(int(d) for d in self.digits)
-        if not digits:
-            raise ValueError("a Pauli word needs at least one qubit")
-        if any(d not in (0, 1, 2, 3) for d in digits):
-            raise ValueError(f"digits must be in 0..3, got {digits}")
-        object.__setattr__(self, "digits", digits)
-
-    @property
-    def n(self) -> int:
-        return len(self.digits)
-
-    @property
-    def index(self) -> int:
-        """Base-4 integer with digit 0 most significant."""
-        i = 0
-        for d in self.digits:
-            i = 4 * i + d
-        return i
-
-    @property
-    def is_identity(self) -> bool:
-        return all(d == 0 for d in self.digits)
-
-    @classmethod
-    def from_index(cls, n: int, index: int) -> "PauliString":
-        if not 0 <= index < 4**n:
-            raise ValueError(f"index {index} out of range for {n} qubits")
-        digits = []
-        for _ in range(n):
-            digits.append(index % 4)
-            index //= 4
-        return cls(tuple(reversed(digits)))
 
 
 @lru_cache(maxsize=None)
@@ -75,48 +31,3 @@ def pauli_basis(n: int) -> np.ndarray:
         out = np.array([np.kron(SIGMA[d], s) for d in range(4) for s in sub])
     out.setflags(write=False)
     return out
-
-
-def pauli_matrix(p: PauliString) -> ComplexMatrix:
-    m = SIGMA[p.digits[0]]
-    for d in p.digits[1:]:
-        m = np.kron(m, SIGMA[d])
-    return ComplexMatrix(m, (2,) * p.n)
-
-
-def coarse_projectors(p: PauliString) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """Projectors (1 +/- sigma)/2 onto the +1 and -1 eigenspaces of a Pauli word.
-
-    The identity word has no -1 eigenspace and is rejected.
-    """
-    if p.is_identity:
-        raise ValueError("the identity word has no two-outcome coarse measurement")
-    sigma = pauli_matrix(p)
-    eye = np.eye(sigma.dim)
-    plus = ComplexMatrix(0.5 * (eye + sigma.data), sigma.factors)
-    minus = ComplexMatrix(0.5 * (eye - sigma.data), sigma.factors)
-    return plus, minus
-
-
-def _qubit_count(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim < 2 or 2**n != dim:
-        raise ValueError(f"dimension {dim} is not a power of two")
-    return n
-
-
-def pauli_coefficients(m) -> np.ndarray:
-    """Coefficients c_i = Tr(m sigma_i) in the Pauli basis; length 4**n."""
-    a = _as_array(m)
-    n = _qubit_count(a.shape[0])
-    return np.einsum("kij,ji->k", pauli_basis(n), a)
-
-
-def matrix_from_pauli(coeffs: np.ndarray, n: int) -> ComplexMatrix:
-    """Inverse of pauli_coefficients: m = 2**-n sum_i c_i sigma_i."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    basis = pauli_basis(n)
-    if coeffs.shape != (basis.shape[0],):
-        raise ValueError(f"expected {basis.shape[0]} coefficients for n={n}")
-    data = np.tensordot(coeffs, basis, axes=([0], [0])) / 2**n
-    return ComplexMatrix(data, (2,) * n)

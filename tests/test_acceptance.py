@@ -13,7 +13,6 @@ import pytest
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
-    apply,
     choi_of,
     input_transpose,
     measure_prepare_z,
@@ -48,6 +47,8 @@ from pdmcausal.pdm import (
     reduce,
 )
 from pdmcausal.rng import generator
+
+from oracles import apply
 
 IDENTITY_CHANNEL_PDM = np.array(
     [[1, 0, 0, 0], [0, 0, 0.5, 0], [0, 0.5, 0, 0], [0, 0, 0, 0]], dtype=complex

@@ -126,6 +126,27 @@ def test_sweep_haar_csv(tmp_path, capsys):
     assert out.read_text() == first  # bit-identical rerun
 
 
+CHOI_OF_MEASURE_PREPARE = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0])))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"rep": "choi", "dim_out": 2, "matrices": [CHOI_OF_MEASURE_PREPARE]},
+        {"rep": "unitary", "dim_in": 2, "dim_out": 2, "matrices": []},
+        {"rep": "choi", "dim_in": 2, "dim_out": 2, "matrices": []},
+    ],
+    ids=["choi-without-dim-in", "unitary-no-matrices", "choi-no-matrices"],
+)
+def test_malformed_channel_json_is_an_input_error(tmp_path, capsys, blob):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(["pdm", "build", "--state", "zero", "--channel", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "malformed channel JSON" in err
+    assert "Traceback" not in err
+
+
 def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

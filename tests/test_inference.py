@@ -33,7 +33,7 @@ from pdmcausal.linalg import (
     swap_operator,
 )
 from pdmcausal.pauli import SIGMA
-from pdmcausal.pdm import PDM, Slot, marginal_state, pdm_closed_form, reduce
+from pdmcausal.pdm import PDM, Slot, marginal_state, pdm_closed_form, reduce, time_reverse
 from pdmcausal.rng import generator
 
 from oracles import grid_oracle_objective
@@ -337,6 +337,37 @@ def test_classify_invariant_under_local_basis_change():
         assert classify(rotated).compatible == base.compatible
         agreements += 1
     assert agreements == 100
+
+
+@st.composite
+def two_slot_pdms(draw):
+    """Rank 1-2 one-qubit or rank 1-4 two-qubit first states through a random
+    or semicausal channel; most draws send at least one direction to the SDP."""
+    qubits = draw(st.integers(1, 2))
+    dim = 2**qubits
+    rank = draw(st.integers(1, dim))
+    semicausal = qubits == 2 and draw(st.booleans())
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = random_state(dim, rng, rank=rank, factors=(2,) * qubits)
+    if semicausal:
+        ch = random_semicausal(2, 2, 2, rng)
+    else:
+        ch = random_channel(dim, rng, kraus_count=draw(st.integers(1, dim * dim)))
+    return pdm_closed_form(rho, ch)
+
+
+@settings(max_examples=20, deadline=None)
+@given(two_slot_pdms())
+def test_classify_mirrors_under_time_reversal(r):
+    verdict = classify(r)
+    mirrored = classify(time_reverse(r))
+    assert mirrored.compatible == verdict.compatible_reversed
+    assert mirrored.min_eig_forward == verdict.min_eig_reverse
+    assert mirrored.min_eig_reverse == verdict.min_eig_forward
+    assert mirrored.unique_forward == verdict.unique_reverse
+    assert mirrored.unique_reverse == verdict.unique_forward
+    assert mirrored.correlated == verdict.correlated
+    assert abs(mirrored.f - verdict.f) <= 1e-12
 
 
 def test_verdict_json_schema():

@@ -2,45 +2,7 @@ import numpy as np
 import pytest
 
 from pdmcausal.linalg import max_abs_diff
-from pdmcausal.pauli import (
-    PauliString,
-    SIGMA,
-    coarse_projectors,
-    matrix_from_pauli,
-    pauli_basis,
-    pauli_coefficients,
-    pauli_matrix,
-)
-
-RNG = np.random.default_rng(7)
-
-
-def test_pauli_string_validation():
-    with pytest.raises(ValueError):
-        PauliString((0, 4))
-    with pytest.raises(ValueError):
-        PauliString(())
-    p = PauliString((1, 0, 3))
-    assert p.n == 3
-    assert p.index == 1 * 16 + 0 * 4 + 3
-    assert PauliString.from_index(3, p.index) == p
-
-
-def test_pauli_matrix_conventions():
-    assert max_abs_diff(pauli_matrix(PauliString((3,))).data, np.diag([1, -1])) == 0
-    assert max_abs_diff(pauli_matrix(PauliString((0, 0))).data, np.eye(4)) == 0
-    xx = pauli_matrix(PauliString((1, 1)))
-    assert max_abs_diff(xx.data, np.fliplr(np.eye(4))) == 0
-
-
-def test_pauli_matrix_hermitian_unitary_traceless():
-    for index in range(16):
-        p = PauliString.from_index(2, index)
-        m = pauli_matrix(p).data
-        assert max_abs_diff(m, m.conj().T) == 0
-        assert max_abs_diff(m @ m, np.eye(4)) == 0
-        expected_trace = 4.0 if p.is_identity else 0.0
-        assert abs(np.trace(m) - expected_trace) == 0
+from pdmcausal.pauli import pauli_basis
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -50,66 +12,10 @@ def test_pauli_orthogonality(n):
     assert max_abs_diff(gram, 2**n * np.eye(4**n)) < 1e-12
 
 
-def test_coarse_projectors_sigma_z():
-    plus, minus = coarse_projectors(PauliString((3,)))
-    assert max_abs_diff(plus.data, np.diag([1, 0])) == 0
-    assert max_abs_diff(minus.data, np.diag([0, 1])) == 0
-
-
-def test_coarse_projectors_rejects_identity():
-    with pytest.raises(ValueError):
-        coarse_projectors(PauliString((0, 0)))
-
-
-def test_coarse_projectors_xx_matches_rank_one_sums():
-    # two-outcome lumping of the four rank-1 projectors of sigma_x tensor sigma_x
-    plus, minus = coarse_projectors(PauliString((1, 1)))
-    eye = np.eye(2)
-    p1 = 0.25 * np.kron(eye + SIGMA[1], eye + SIGMA[1])
-    p2 = 0.25 * np.kron(eye - SIGMA[1], eye - SIGMA[1])
-    p3 = 0.25 * np.kron(eye + SIGMA[1], eye - SIGMA[1])
-    p4 = 0.25 * np.kron(eye - SIGMA[1], eye + SIGMA[1])
-    assert max_abs_diff(plus.data, p1 + p2) < 1e-14
-    assert max_abs_diff(minus.data, p3 + p4) < 1e-14
-    # the same lumping through the entangled-basis decomposition (U = identity)
-    bell_plus = 0.25 * (
-        (np.eye(4) + np.kron(SIGMA[1], SIGMA[1]) - np.kron(SIGMA[2], SIGMA[2]) + np.kron(SIGMA[3], SIGMA[3]))
-        + (np.eye(4) + np.kron(SIGMA[1], SIGMA[1]) + np.kron(SIGMA[2], SIGMA[2]) - np.kron(SIGMA[3], SIGMA[3]))
-    )
-    assert max_abs_diff(plus.data, bell_plus) < 1e-14
-    assert np.linalg.matrix_rank(plus.data) == 2
-
-
-def test_coarse_projectors_algebra_random():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        digits = tuple(rng.integers(0, 4, size=3))
-        if all(d == 0 for d in digits):
-            digits = (1, 0, 0)
-        p = PauliString(digits)
-        plus, minus = coarse_projectors(p)
-        assert max_abs_diff(plus.data @ plus.data, plus.data) < 1e-13
-        assert max_abs_diff(minus.data @ minus.data, minus.data) < 1e-13
-        assert max_abs_diff(plus.data + minus.data, np.eye(8)) < 1e-14
-        assert max_abs_diff(plus.data - minus.data, pauli_matrix(p).data) < 1e-14
-
-
-def test_pauli_coefficients_known_states():
-    c = pauli_coefficients(np.eye(2) / 2)
-    assert np.allclose(c, [1, 0, 0, 0])
-    plus_state = 0.5 * np.array([[1, 1], [1, 1]])
-    assert np.allclose(pauli_coefficients(plus_state), [1, 1, 0, 0])
-
-
-def test_pauli_round_trip_exact():
-    a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-    h = 0.5 * (a + a.conj().T)
-    coeffs = pauli_coefficients(h)
-    back = matrix_from_pauli(coeffs, 2)
-    assert max_abs_diff(back.data, h) < 1e-12
-    assert back.factors == (2, 2)
-
-
-def test_pauli_coefficients_rejects_non_power_of_two():
-    with pytest.raises(ValueError):
-        pauli_coefficients(np.eye(3) / 3)
+def test_pauli_basis_word_order():
+    # word i1*4 + i2 is SIGMA[i1] on qubit 0 (the left factor) times SIGMA[i2]
+    basis = pauli_basis(2)
+    assert max_abs_diff(basis[3], np.diag([1, -1, 1, -1])) == 0
+    assert max_abs_diff(basis[12], np.diag([1, 1, -1, -1])) == 0
+    assert max_abs_diff(basis[5], np.fliplr(np.eye(4))) == 0
+    assert not basis.flags.writeable

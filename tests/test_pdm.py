@@ -7,8 +7,6 @@ from pdmcausal._kernels import assemble_from_expectations
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
-    apply,
-    effective_channel,
     measure_prepare_z,
     partial_swap,
     random_channel,
@@ -32,6 +30,8 @@ from pdmcausal.pdm import (
     time_reverse,
 )
 from pdmcausal.rng import generator
+
+from oracles import apply, effective_channel
 
 IDENTITY_CHANNEL_PDM = np.array(
     [[1, 0, 0, 0], [0, 0, 0.5, 0], [0, 0.5, 0, 0], [0, 0, 0, 0]], dtype=np.complex128
