@@ -23,7 +23,8 @@ import numpy as np
 from .linalg import (
     ComplexMatrix,
     _as_array,
-    embed_operator,
+    _embed_operator,
+    _eye_kron,
     is_hermitian,
     matrix_from_json,
     partial_trace,
@@ -58,6 +59,13 @@ class QuantumState:
         if w.min() < -STATE_EIG_ATOL:
             raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
 
+    @classmethod
+    def _trusted(cls, mat: ComplexMatrix) -> "QuantumState":
+        """State derived from validated data: no check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "mat", mat)
+        return state
+
     @property
     def dim(self) -> int:
         return self.mat.dim
@@ -84,7 +92,7 @@ class QuantumState:
 def _kraus_to_choi(kraus: Sequence[np.ndarray], dim_in: int, dim_out: int) -> ComplexMatrix:
     ks = np.asarray(kraus, dtype=np.complex128)
     m = np.einsum("kai,kbj->jaib", ks, ks.conj()).reshape(dim_in * dim_out, dim_in * dim_out)
-    return ComplexMatrix(m, (dim_in, dim_out))
+    return ComplexMatrix._trusted(m, (dim_in, dim_out))
 
 
 def _choi_to_kraus(choi: ComplexMatrix) -> tuple[np.ndarray, ...]:
@@ -171,9 +179,13 @@ def input_transpose(m: ComplexMatrix) -> ComplexMatrix:
     """Partial transpose on the first (input) factor; involutive."""
     if m.nfactors != 2:
         raise ValueError(f"need exactly two factors, got {m.factors}")
-    d1, d2 = m.factors
-    t = m.data.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3)
-    return ComplexMatrix(t.reshape(m.dim, m.dim), m.factors)
+    return ComplexMatrix._trusted(_input_transpose(m.data, *m.factors), m.factors)
+
+
+def _input_transpose(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
+    """``input_transpose`` on a raw (d1*d2)-square array."""
+    d = d1 * d2
+    return x.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -197,29 +209,21 @@ def semicausal(
     dim_b = m_bc.dim_in // dim_c
     factors = (dim_a, dim_b, dim_c)
 
-    n_ops = [
-        embed_operator(ComplexMatrix(k, (dim_a, dim_c)), factors, (0, 2)).data
-        for k in n_ac.kraus_operators
-    ]
-    m_ops = [
-        embed_operator(ComplexMatrix(k, (dim_b, dim_c)), factors, (1, 2)).data
-        for k in m_bc.kraus_operators
-    ]
+    n_ops = [_embed_operator(k, factors, (0, 2)) for k in n_ac.kraus_operators]
+    m_ops = [_embed_operator(k, factors, (1, 2)) for k in m_bc.kraus_operators]
 
     w, v = np.linalg.eigh(rho_c.mat.data)
-    eye_ab = np.eye(dim_a * dim_b)
     kraus = []
     for p, phi in zip(w, v.T):
         if p <= KRAUS_KEEP_EPS:
             continue
-        inject = np.kron(eye_ab, phi.reshape(dim_c, 1)) * np.sqrt(p)
+        # I_AB tensor |phi>: append the ancilla in the state phi
+        inject = _eye_kron(dim_a * dim_b, phi.reshape(dim_c, 1)) * np.sqrt(p)
         for m_op in m_ops:
             for n_op in n_ops:
                 stage = m_op @ n_op @ inject
-                for e in range(dim_c):
-                    bra = np.zeros((1, dim_c))
-                    bra[0, e] = 1.0
-                    kraus.append(np.kron(eye_ab, bra) @ stage)
+                # I_AB tensor <e|: the rows of stage with ancilla index e
+                kraus.extend(stage[e::dim_c] for e in range(dim_c))
     return QuantumChannel.from_kraus(kraus)
 
 
@@ -320,6 +324,17 @@ def channel_from_id(name: str) -> QuantumChannel:
     raise ValueError(f"unknown channel id {name!r}")
 
 
+def _declared_dims(obj: dict) -> tuple[int | None, int | None]:
+    """The optional ``dim_in``/``dim_out`` of a channel file, None where absent."""
+    dims = []
+    for key in ("dim_in", "dim_out"):
+        try:
+            dims.append(int(obj[key]) if key in obj else None)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed channel JSON: bad {key}: {exc}") from exc
+    return dims[0], dims[1]
+
+
 def channel_from_json(obj: dict) -> QuantumChannel:
     try:
         rep = obj["rep"]
@@ -328,19 +343,32 @@ def channel_from_json(obj: dict) -> QuantumChannel:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     if not mats:
         raise ValueError("malformed channel JSON: empty matrix list")
+    dim_in, dim_out = _declared_dims(obj)
+    if rep in ("unitary", "choi") and len(mats) != 1:
+        raise ValueError(
+            f"malformed channel JSON: a {rep} rep takes one matrix, got {len(mats)}"
+        )
     if rep == "kraus":
-        return QuantumChannel.from_kraus([m.data for m in mats])
-    if rep == "unitary":
-        return QuantumChannel.from_unitary(mats[0].data)
-    if rep == "choi":
+        ch = QuantumChannel.from_kraus([m.data for m in mats])
+    elif rep == "unitary":
+        ch = QuantumChannel.from_unitary(mats[0].data)
+    elif rep == "choi":
         m = mats[0]
         if m.nfactors != 2:
-            try:
-                factors = (int(obj["dim_in"]), int(obj["dim_out"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            if dim_in is None or dim_out is None:
                 raise ValueError(
-                    f"malformed channel JSON: choi rep needs dim_in and dim_out: {exc}"
-                ) from exc
-            m = ComplexMatrix(m.data, factors)
-        return QuantumChannel.from_choi(m)
-    raise ValueError(f"unknown channel rep {rep!r}")
+                    "malformed channel JSON: choi rep needs dim_in and dim_out"
+                )
+            m = ComplexMatrix(m.data, (dim_in, dim_out))
+        ch = QuantumChannel.from_choi(m)
+    else:
+        raise ValueError(f"unknown channel rep {rep!r}")
+    for key, declared, actual in (
+        ("dim_in", dim_in, ch.dim_in),
+        ("dim_out", dim_out, ch.dim_out),
+    ):
+        if declared is not None and declared != actual:
+            raise ValueError(
+                f"malformed channel JSON: declared {key} {declared}, matrices give {actual}"
+            )
+    return ch

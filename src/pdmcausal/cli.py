@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 input error, 2 numerical inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,9 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: a parser is a reference cycle (each action points
+# back at its container), so a fresh one per call is garbage that only a full
+# collection frees, and in-process callers such as the sweeps pile them up.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "theta", None) is None and getattr(args, "command", "") == "sweep":
         args.theta = [30.0, 60.0]
     try:

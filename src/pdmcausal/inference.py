@@ -26,9 +26,15 @@ from enum import IntEnum
 
 import numpy as np
 
-from .channels import QuantumState, input_transpose
-from .linalg import ComplexMatrix, NumericalInconsistencyError, max_abs_diff
-from .pdm import PDM, marginal_state, negativity, reduce, time_reverse
+from .channels import QuantumState, _input_transpose
+from .linalg import (
+    ComplexMatrix,
+    NumericalInconsistencyError,
+    _eye_kron,
+    _kron_eye,
+    max_abs_diff,
+)
+from .pdm import PDM, negativity, time_reverse
 
 RESIDUAL_LIMIT = 1e-6
 PINV_RCOND = 1e-10
@@ -93,11 +99,19 @@ def jordan_product_matrix(first_marginal, out_dim: int) -> ComplexMatrix:
     rho's eigenvalues.
     """
     marg = first_marginal.mat if isinstance(first_marginal, QuantumState) else first_marginal
-    rho = np.kron(marg.data if isinstance(marg, ComplexMatrix) else marg, np.eye(out_dim))
+    marg = np.asarray(marg.data if isinstance(marg, ComplexMatrix) else marg, dtype=np.complex128)
+    d = marg.shape[0] * out_dim
+    return ComplexMatrix._trusted(_jordan_product(marg, out_dim), (d, d))
+
+
+def _jordan_product(marg: np.ndarray, out_dim: int) -> np.ndarray:
+    """``jordan_product_matrix`` on a raw marginal."""
+    rho = _kron_eye(marg, out_dim)
     d = rho.shape[0]
-    eye = np.eye(d)
-    j = 0.5 * (np.kron(rho, eye) + np.kron(eye, rho.T))
-    return ComplexMatrix(j, (d, d))
+    j = _kron_eye(rho, d)
+    j += _eye_kron(d, rho.T)
+    j *= 0.5
+    return j
 
 
 def _rank_deficient(w: np.ndarray, thresholds: Thresholds) -> np.ndarray:
@@ -118,8 +132,8 @@ def extract_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionR
     family reproduces the PDM (residual above the limit).
     """
     din, dout = _two_slot_dims(pdm)
-    marg = marginal_state(pdm, 0)
-    jmat = jordan_product_matrix(marg, dout).data
+    marg, w = pdm._marginals[0]
+    jmat = _jordan_product(marg, dout)
     rvec = pdm.mat.data.reshape(-1)
     mvec = np.linalg.pinv(jmat, rcond=PINV_RCOND) @ rvec
     residual = float(np.linalg.norm(jmat @ mvec - rvec))
@@ -129,10 +143,9 @@ def extract_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionR
         )
     m = mvec.reshape(din * dout, din * dout)
     m = 0.5 * (m + m.conj().T)
-    choi = ComplexMatrix(m, (din, dout))
-    unique = not _rank_deficient(np.linalg.eigvalsh(marg.mat.data), thresholds).any()
-    min_eig = float(np.linalg.eigvalsh(input_transpose(choi).data).min())
-    return ExtractionResult(choi, residual, unique, min_eig)
+    unique = not _rank_deficient(w, thresholds).any()
+    min_eig = float(np.linalg.eigvalsh(_input_transpose(m, din, dout)).min())
+    return ExtractionResult(ComplexMatrix._trusted(m, (din, dout)), residual, unique, min_eig)
 
 
 def extract_reverse_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionResult:
@@ -148,11 +161,6 @@ def extract_reverse_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> Ext
 # Least-negative completion (small dense SDP via operator splitting)
 # ---------------------------------------------------------------------------
 
-def _input_transpose_raw(x: np.ndarray, din: int, dout: int) -> np.ndarray:
-    d = din * dout
-    return x.reshape(din, dout, din, dout).transpose(2, 1, 0, 3).reshape(d, d)
-
-
 def _trace_out(x: np.ndarray, din: int, dout: int) -> np.ndarray:
     return np.trace(x.reshape(din, dout, din, dout), axis1=1, axis2=3)
 
@@ -164,11 +172,11 @@ def _neg_part_trace(x: np.ndarray) -> float:
 
 def _prox_neg_part(x: np.ndarray, t: float, din: int, dout: int) -> np.ndarray:
     """Prox of t * trace-of-negative-part composed with the input transpose."""
-    xt = _input_transpose_raw(x, din, dout)
+    xt = _input_transpose(x, din, dout)
     w, v = np.linalg.eigh(xt)
     shifted = np.where(w > 0, w, np.where(w < -t, w + t, 0.0))
     yt = (v * shifted) @ v.conj().T
-    return _input_transpose_raw(yt, din, dout)
+    return _input_transpose(yt, din, dout)
 
 
 def sdp_least_negative(
@@ -194,16 +202,16 @@ def sdp_least_negative(
     din, dout = _two_slot_dims(pdm)
     base = extract_choi(pdm, thresholds)
     m0 = base.choi.data
-    marg = marginal_state(pdm, 0).mat.data
+    marg = pdm._marginals[0][0]
     w, v = np.linalg.eigh(marg)
     kernel = v[:, _rank_deficient(w, thresholds)]
     pk = kernel @ kernel.conj().T
-    q = np.kron(pk, np.eye(dout))
+    q = _kron_eye(pk, dout)
     fixed = m0 - q @ m0 @ q
 
     def project(x: np.ndarray) -> np.ndarray:
         x = q @ (0.5 * (x + x.conj().T)) @ q
-        return fixed + x - np.kron(_trace_out(x, din, dout) - pk, np.eye(dout)) / dout
+        return fixed + x - _kron_eye(_trace_out(x, din, dout) - pk, dout) / dout
 
     x0 = project(np.zeros_like(m0))
     floor = float(np.linalg.norm(_trace_out(x0, din, dout) - np.eye(din)))
@@ -222,7 +230,7 @@ def sdp_least_negative(
     stall = 0
     for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
-        obj = _neg_part_trace(_input_transpose_raw(y, din, dout))
+        obj = _neg_part_trace(_input_transpose(y, din, dout))
         if obj < best_obj:
             best_obj = obj
             best = y
@@ -244,11 +252,11 @@ def sdp_least_negative(
 
     n_best = project(best)
     n_best = 0.5 * (n_best + n_best.conj().T)
-    choi = ComplexMatrix(n_best, (din, dout))
-    rho = np.kron(marg, np.eye(dout))
+    rho = _kron_eye(marg, dout)
     residual = float(np.linalg.norm(0.5 * (rho @ n_best + n_best @ rho) - pdm.mat.data))
-    min_eig = float(np.linalg.eigvalsh(input_transpose(choi).data).min())
-    objective = _neg_part_trace(_input_transpose_raw(n_best, din, dout))
+    min_eig = float(np.linalg.eigvalsh(_input_transpose(n_best, din, dout)).min())
+    objective = _neg_part_trace(_input_transpose(n_best, din, dout))
+    choi = ComplexMatrix._trusted(n_best, (din, dout))
     return ExtractionResult(
         choi, residual, base.unique, min_eig, objective, iterations, converged
     )
@@ -292,12 +300,14 @@ class CausalVerdict:
 
 def _evidence(pdm: PDM, direction: str, thresholds: Thresholds) -> ExtractionResult:
     """Unique extraction, or the least-negative completion when the oriented
-    first marginal is rank deficient; either way the PDM is extracted once."""
-    oriented = pdm if direction == "forward" else time_reverse(pdm)
-    w = np.linalg.eigvalsh(marginal_state(oriented, 0).mat.data)
-    if _rank_deficient(w, thresholds).any():
+    first marginal is rank deficient; either way the PDM is extracted once.
+
+    The route comes from the stored eigenvalues of the slot that comes first
+    in ``direction``, so a reversed direction is time-reversed only once."""
+    first = 0 if direction == "forward" else 1
+    if _rank_deficient(pdm._marginals[first][1], thresholds).any():
         return sdp_least_negative(pdm, direction, thresholds)
-    return extract_choi(oriented, thresholds)
+    return extract_choi(pdm if first == 0 else time_reverse(pdm), thresholds)
 
 
 def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
@@ -311,9 +321,8 @@ def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
     if len(pdm.slots) != 2:
         raise ValueError("classification is defined for exactly two slots")
     f = negativity(pdm)
-    r_a = reduce(pdm, [0])
-    r_b = reduce(pdm, [1])
-    product = np.kron(r_a.mat.data, r_b.mat.data)
+    (r_a, _), (r_b, _) = pdm._marginals
+    product = np.kron(r_a, r_b)
     correlated = bool(max_abs_diff(pdm.mat.data, product) > thresholds.product_tol)
 
     fwd = _evidence(pdm, "forward", thresholds)

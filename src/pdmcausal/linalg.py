@@ -4,6 +4,11 @@ Every matrix in this package is square, complex and carries the ordered list
 of tensor-factor dimensions it lives on.  Partial traces and factor
 permutations key off that list, so the one global convention is fixed here:
 the leftmost factor is the slowest (most significant) index.
+
+``ComplexMatrix(...)`` validates and copies its input; that is the boundary.
+Internal code passes raw ``ndarray``s plus factor dims through the
+underscore helpers and wraps derived results with ``ComplexMatrix._trusted``,
+which does neither.
 """
 
 from __future__ import annotations
@@ -56,6 +61,15 @@ class ComplexMatrix:
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "factors", factors)
 
+    @classmethod
+    def _trusted(cls, data: np.ndarray, factors: tuple[int, ...]) -> "ComplexMatrix":
+        """Wrap a complex array derived from validated data: no check, no copy."""
+        m = object.__new__(cls)
+        data.setflags(write=False)
+        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "factors", factors)
+        return m
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]
@@ -87,16 +101,22 @@ def partial_trace(m: ComplexMatrix, keep: Iterable[int]) -> ComplexMatrix:
     keep_sorted = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep_sorted):
         raise ValueError(f"keep indices {keep_sorted} out of range for {n} factors")
-    t = m.data.reshape(dims + dims)
+    new_factors = tuple(dims[i] for i in keep_sorted)
+    return ComplexMatrix._trusted(_partial_trace(m.data, dims, keep_sorted), new_factors)
+
+
+def _partial_trace(a: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """``partial_trace`` on a raw array; ``keep`` holds valid factor indices."""
+    n = len(dims)
+    t = a.reshape(dims + dims)
     remaining = n
     for i in range(n - 1, -1, -1):
-        if i in keep_sorted:
+        if i in keep:
             continue
-        t = np.trace(t, axis1=i, axis2=i + remaining)
+        t = t.trace(axis1=i, axis2=i + remaining)
         remaining -= 1
-    new_factors = tuple(dims[i] for i in keep_sorted)
-    d = math.prod(new_factors)
-    return ComplexMatrix(t.reshape(d, d), new_factors)
+    d = math.prod(dims[i] for i in keep)
+    return t.reshape(d, d)
 
 
 def permute_factors(m: ComplexMatrix, order: Sequence[int]) -> ComplexMatrix:
@@ -106,31 +126,47 @@ def permute_factors(m: ComplexMatrix, order: Sequence[int]) -> ComplexMatrix:
     order = tuple(int(k) for k in order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of {n} factors")
-    t = m.data.reshape(dims + dims)
-    axes = order + tuple(n + k for k in order)
     new_factors = tuple(dims[k] for k in order)
-    d = math.prod(new_factors)
-    return ComplexMatrix(t.transpose(axes).reshape(d, d), new_factors)
+    return ComplexMatrix._trusted(_permute_factors(m.data, dims, order), new_factors)
 
 
-def embed_operator(
-    op: ComplexMatrix, factors: Sequence[int], positions: Sequence[int]
-) -> ComplexMatrix:
-    """Extend ``op`` with identities so it acts on ``positions`` of a larger space."""
-    factors = tuple(int(f) for f in factors)
-    positions = tuple(int(p) for p in positions)
-    if len(positions) != op.nfactors:
-        raise ValueError("need one position per factor of op")
-    if tuple(factors[p] for p in positions) != op.factors:
-        raise ValueError("op factors do not match the target positions")
+def _permute_factors(a: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """``permute_factors`` on a raw array; ``order`` is a valid permutation."""
+    n = len(dims)
+    axes = order + tuple(n + k for k in order)
+    d = a.shape[0]
+    return a.reshape(dims + dims).transpose(axes).reshape(d, d)
+
+
+def _kron_eye(a: np.ndarray, n: int) -> np.ndarray:
+    """``np.kron(a, I_n)`` for a 2-D ``a``, as a zero fill plus one block copy."""
+    r, c = a.shape
+    out = np.zeros((r, n, c, n), dtype=np.complex128)
+    k = np.arange(n)
+    out[:, k, :, k] = a
+    return out.reshape(r * n, c * n)
+
+
+def _eye_kron(n: int, a: np.ndarray) -> np.ndarray:
+    """``np.kron(I_n, a)`` for a 2-D ``a``, as a zero fill plus one block copy."""
+    r, c = a.shape
+    out = np.zeros((n, r, n, c), dtype=np.complex128)
+    k = np.arange(n)
+    out[k, :, k, :] = a
+    return out.reshape(n * r, n * c)
+
+
+def _embed_operator(
+    op: np.ndarray, factors: tuple[int, ...], positions: tuple[int, ...]
+) -> np.ndarray:
+    """Extend ``op``, whose factors are ``factors[positions]``, with identities
+    so it acts on ``positions`` of the larger space."""
     rest = [i for i in range(len(factors)) if i not in positions]
-    rest_dim = math.prod(factors[i] for i in rest) if rest else 1
+    rest_dim = math.prod(factors[i] for i in rest)
     cur_order = list(positions) + rest
-    full = ComplexMatrix(
-        np.kron(op.data, np.eye(rest_dim, dtype=np.complex128)),
-        tuple(factors[i] for i in cur_order),
-    )
-    return permute_factors(full, [cur_order.index(j) for j in range(len(factors))])
+    full = _kron_eye(op, rest_dim)
+    order = tuple(cur_order.index(j) for j in range(len(factors)))
+    return _permute_factors(full, tuple(factors[i] for i in cur_order), order)
 
 
 def swap_operator(d: int) -> ComplexMatrix:

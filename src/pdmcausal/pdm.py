@@ -10,11 +10,18 @@ Three constructions are provided: the definitional one that simulates every
 coarse-grained measurement tuple (the oracle, exponential in slots*qubits),
 the anticommutator closed form through the channel's Choi matrix, and the
 iterative multi-slot extension of the closed form.
+
+``PDM(...)`` is the one validation point: every public builder and loader
+goes through it, and it computes each slot's reduction and eigenvalues once,
+which ``marginal_state`` and the extraction reuse.  PDMs derived from a valid
+one by ``reduce`` and ``time_reverse`` come from ``PDM._trusted``, which
+neither re-checks nor copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,11 +30,12 @@ from ._kernels import assemble_from_expectations, expectation_tensor
 from .channels import QuantumChannel, QuantumState, choi_of
 from .linalg import (
     ComplexMatrix,
+    _kron_eye,
+    _partial_trace,
+    _permute_factors,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
-    partial_trace,
-    permute_factors,
 )
 from .pauli import pauli_basis
 
@@ -67,12 +75,36 @@ class PDM:
         tr = np.trace(a).real
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"PDM trace {tr} != 1")
-        for i in range(len(slots)):
-            w = np.linalg.eigvalsh(partial_trace(self.mat, self._slot_range(i)).data)
+        for slot, (_, w) in zip(slots, self._marginals):
             if w.min() < -MARGINAL_EIG_ATOL:
                 raise ValueError(
-                    f"slot {slots[i].label} reduction has negative eigenvalue {w.min():.3e}"
+                    f"slot {slot.label} reduction has negative eigenvalue {w.min():.3e}"
                 )
+
+    @classmethod
+    def _trusted(cls, data: np.ndarray, slots: tuple[Slot, ...], marginals=None) -> "PDM":
+        """PDM derived from a valid one: no check, no copy.
+
+        ``marginals`` passes known slot reductions through; otherwise they
+        are computed on first use.
+        """
+        pdm = object.__new__(cls)
+        factors = (2,) * sum(s.qubits for s in slots)
+        object.__setattr__(pdm, "mat", ComplexMatrix._trusted(data, factors))
+        object.__setattr__(pdm, "slots", slots)
+        if marginals is not None:
+            pdm.__dict__["_marginals"] = marginals
+        return pdm
+
+    @cached_property
+    def _marginals(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each slot's reduction with its ascending eigenvalues."""
+        out = []
+        for i in range(len(self.slots)):
+            m = _partial_trace(self.mat.data, self.mat.factors, self._slot_range(i))
+            m.setflags(write=False)
+            out.append((m, np.linalg.eigvalsh(m)))
+        return tuple(out)
 
     def _slot_range(self, index: int) -> range:
         start = sum(s.qubits for s in self.slots[:index])
@@ -105,9 +137,10 @@ def _wrap(data: np.ndarray, qubit_counts: Sequence[int], labels=None) -> PDM:
 
 
 def marginal_state(pdm: PDM, slot: int) -> QuantumState:
-    """Single-slot reduction, always a valid density matrix."""
-    reduced = partial_trace(pdm.mat, pdm._slot_range(slot))
-    return QuantumState(reduced)
+    """Single-slot reduction, PSD to ``MARGINAL_EIG_ATOL`` as the PDM checked."""
+    reduced = pdm._marginals[slot][0]
+    factors = (2,) * pdm.slots[slot].qubits
+    return QuantumState._trusted(ComplexMatrix._trusted(reduced, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +196,7 @@ def pdm_closed_form(
     n_in = _qubits(ch.dim_in)
     n_out = _qubits(ch.dim_out)
     m = choi_of(ch).data
-    rho = np.kron(rho1.mat.data, np.eye(ch.dim_out))
+    rho = _kron_eye(rho1.mat.data, ch.dim_out)
     data = 0.5 * (m @ rho + rho @ m)
     return _wrap(data, [n_in, n_out], labels)
 
@@ -207,6 +240,8 @@ def _normalize_keep(pdm: PDM, keep) -> list[tuple[int, tuple[int, ...]]]:
             raise ValueError("empty qubit selection inside a slot")
         if any(q < 0 or q >= pdm.slots[slot].qubits for q in qubits):
             raise ValueError(f"qubit selection {qubits} out of range for slot {slot}")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"qubit selection {qubits} repeats a qubit")
         out.append((slot, qubits))
     if not out:
         raise ValueError("keep set must be nonempty")
@@ -229,8 +264,8 @@ def reduce(pdm: PDM, keep) -> PDM:
         start = pdm._slot_range(slot).start
         global_keep.extend(start + q for q in qubits)
         new_slots.append(Slot(pdm.slots[slot].label, len(qubits)))
-    reduced = partial_trace(pdm.mat, global_keep)
-    return PDM(reduced, tuple(new_slots))
+    reduced = _partial_trace(pdm.mat.data, pdm.mat.factors, global_keep)
+    return PDM._trusted(reduced, tuple(new_slots))
 
 
 def negativity(pdm: PDM) -> float:
@@ -246,9 +281,10 @@ def time_reverse(pdm: PDM) -> PDM:
     q0, q1 = pdm.slots[0].qubits, pdm.slots[1].qubits
     if q0 != q1:
         raise ValueError("time reversal needs equal slot dimensions")
-    order = list(range(q0, q0 + q1)) + list(range(q0))
-    flipped = permute_factors(pdm.mat, order)
-    return PDM(flipped, (pdm.slots[1], pdm.slots[0]))
+    order = tuple(range(q0, q0 + q1)) + tuple(range(q0))
+    flipped = _permute_factors(pdm.mat.data, pdm.mat.factors, order)
+    # on qubit factors each swapped reduction is summed in the same order
+    return PDM._trusted(flipped, (pdm.slots[1], pdm.slots[0]), pdm._marginals[::-1])
 
 
 # ---------------------------------------------------------------------------

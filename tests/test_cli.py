@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pdmcausal.channels import QuantumState, measure_prepare_z
+from pdmcausal.channels import QuantumChannel, QuantumState, choi_of, measure_prepare_z
 from pdmcausal.cli import main
 from pdmcausal.linalg import ComplexMatrix, matrix_to_json
 from pdmcausal.pdm import pdm_closed_form, pdm_to_json
@@ -95,6 +95,18 @@ def test_classify_rank_tol_flag(tmp_path, capsys):
     assert verdict["thresholds"]["rank_tol"] == 1e-2
 
 
+def test_classify_accepts_slightly_negative_marginal(tmp_path, capsys):
+    rho = np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(2))
+    m = choi_of(QuantumChannel.identity(2)).data
+    blob = matrix_to_json(ComplexMatrix(0.5 * (m @ rho + rho @ m), (2, 2)))
+    blob["slots"] = [{"label": "t1", "qubits": 1}, {"label": "t2", "qubits": 1}]
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps(blob))
+    code, text, err = run(["infer", "classify", "--in", str(path)], capsys)
+    assert code == 0, err
+    assert json.loads(text)["compatible"] == [1, 2]
+
+
 def test_reproduce_measure_prepare(capsys):
     code, text, _ = run(["reproduce", "measure-prepare", "--lambda", "0.5"], capsys)
     assert code == 0
@@ -145,6 +157,42 @@ def test_malformed_channel_json_is_an_input_error(tmp_path, capsys, blob):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "malformed channel JSON" in err
     assert "Traceback" not in err
+
+
+CHOI_OF_MEASURE_PREPARE_SPLIT = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0]), (2, 2)))
+I2 = matrix_to_json(ComplexMatrix(np.eye(2)))
+X = matrix_to_json(ComplexMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"rep": "unitary", "dim_in": 4, "dim_out": 4, "matrices": [I2, X]},
+        {"rep": "unitary", "dim_in": 2, "dim_out": 2, "matrices": [I2, X]},
+        {"rep": "unitary", "dim_in": 4, "dim_out": 4, "matrices": [X]},
+        {"rep": "kraus", "dim_in": 4, "dim_out": 4, "matrices": [I2]},
+        {"rep": "kraus", "dim_in": 2, "dim_out": 3, "matrices": [I2]},
+        {"rep": "choi", "dim_in": 1, "dim_out": 4, "matrices": [CHOI_OF_MEASURE_PREPARE_SPLIT]},
+        {"rep": "choi", "dim_in": 2, "dim_out": 2, "matrices": [CHOI_OF_MEASURE_PREPARE] * 2},
+        {"rep": "kraus", "dim_in": "two", "matrices": [I2]},
+    ],
+    ids=[
+        "unitary-dims-and-extra-matrix",
+        "unitary-extra-matrix",
+        "unitary-dims",
+        "kraus-dims",
+        "kraus-dim-out",
+        "choi-split",
+        "choi-extra-matrix",
+        "dim-not-an-integer",
+    ],
+)
+def test_channel_json_must_agree_with_its_declared_shape(tmp_path, capsys, blob):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(["pdm", "build", "--state", "zero", "--channel", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "malformed channel JSON" in err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import pytest
 
@@ -111,3 +113,36 @@ def test_run_scenario_dispatch():
         harness.run_scenario(harness.ScenarioConfig("nope"))
     with pytest.raises(ValueError):
         harness.run_scenario(harness.ScenarioConfig("swap-influence", fmt="xml"))
+
+
+# sha256 of rows_to_csv at n=200 for the A9 seeds; the sweeps promise
+# byte-identical CSVs for a given seed, so any change to these bytes must be
+# deliberate and re-recorded.
+SWEEP_CSV_SHA256 = {
+    ("fig3", 20240817): "97a11684674c1bc4e465258de29070337a2af47bb2af43d697cd8ebbbd1392f0",
+    ("fig4", 20240818): "09ef7c6e559aa1078da604c869ad23d579e56973d0828e98ef5f2e10da65a25c",
+}
+
+
+@pytest.mark.parametrize(("scenario", "seed"), list(SWEEP_CSV_SHA256))
+def test_sweep_csv_bytes_are_pinned(scenario, seed):
+    rows, _ = harness.run_haar_sweep(scenario, n=200, seed=seed)
+    digest = hashlib.sha256(harness.rows_to_csv(rows).encode()).hexdigest()
+    assert digest == SWEEP_CSV_SHA256[(scenario, seed)]
+
+
+SWEEP_WORKING_SET_LIMIT = 128 * 1024  # bytes; one sample at a time needs ~50 KiB
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "fig4"])
+def test_sweep_working_set_stays_per_sample(scenario):
+    """Memory a sweep holds beyond its result is one sample's, not n samples'."""
+    harness.run_haar_sweep(scenario, n=2, seed=1)  # warm the lazy caches
+    tracemalloc.start()
+    try:
+        rows, _ = harness.run_haar_sweep(scenario, n=200, seed=1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 200 * 2
+    assert peak - retained <= SWEEP_WORKING_SET_LIMIT

@@ -269,6 +269,36 @@ def test_classify_rank_tol_selects_sdp_route(monkeypatch):
     assert calls == ["forward", "reverse"]
 
 
+def test_classify_time_reverses_each_reversed_direction_once(monkeypatch):
+    calls = []
+    original = inference.time_reverse
+
+    def spy(pdm):
+        calls.append(1)
+        return original(pdm)
+
+    monkeypatch.setattr(inference, "time_reverse", spy)
+    full_rank = pdm_closed_form(full_rank_state(2, generator(5)), random_channel(2, 6))
+    rank_one = pdm_closed_form(QuantumState.from_ket([1, 0]), QuantumChannel.identity(2))
+    for r in (full_rank, rank_one):
+        calls.clear()
+        classify(r)
+        assert len(calls) == 1
+
+
+def test_accepted_pdm_with_slightly_negative_marginal_classifies():
+    # identity-channel PDM of diag(1 + 5e-10, -5e-10): its first marginal is
+    # inside the PDM's tolerance but outside the state constructor's
+    rho = np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(2))
+    m = choi_of(QuantumChannel.identity(2)).data
+    data = 0.5 * (m @ rho + rho @ m)
+    r = PDM(ComplexMatrix(data, (2, 2)), (Slot("t1", 1), Slot("t2", 1)))
+    assert np.linalg.eigvalsh(marginal_state(r, 0).mat.data).min() < -1e-10
+    assert not extract_choi(r).unique
+    verdict = classify(r)
+    assert sorted(int(c) for c in verdict.compatible) == [1, 2]
+
+
 def test_classify_measure_prepare_is_forward():
     for lam in (0.1, 0.5, 0.9):
         plus = 0.5 * np.array([[1, 1], [1, 1]])

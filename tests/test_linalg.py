@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmcausal.linalg import (
     ComplexMatrix,
+    _embed_operator,
+    _eye_kron,
+    _kron_eye,
     matrix_from_json,
     matrix_to_json,
     max_abs_diff,
     partial_trace,
     permute_factors,
-    embed_operator,
     swap_operator,
 )
 
@@ -77,9 +81,9 @@ def test_permute_and_embed():
     p = permute_factors(m, (2, 0, 1))
     assert p.factors == (2, 2, 3)
     assert max_abs_diff(p.data, np.kron(np.kron(c, a), b)) < 1e-12
-    emb = embed_operator(ComplexMatrix(np.kron(a, c), (2, 2)), (2, 3, 2), (0, 2))
+    emb = _embed_operator(np.kron(a, c), (2, 3, 2), (0, 2))
     expected = np.kron(np.kron(a, np.eye(3)), c)
-    assert max_abs_diff(emb.data, expected) < 1e-12
+    assert max_abs_diff(emb, expected) < 1e-12
 
 
 def test_matrix_json_round_trip():
@@ -89,3 +93,33 @@ def test_matrix_json_round_trip():
     assert max_abs_diff(back.data, m.data) <= 1e-12 * np.abs(m.data).max()
     with pytest.raises(ValueError):
         matrix_from_json({"re": [[1]]})
+
+
+@st.composite
+def blocks(draw):
+    """A complex block with exact zeros and signed parts, plus an identity size."""
+    r, c, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    a[rng.random((r, c)) < 0.3] = 0.0
+    return a, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks())
+def test_kron_free_helpers_equal_np_kron(case):
+    a, n = case
+    eye = np.eye(n)
+    assert np.array_equal(_kron_eye(a, n), np.kron(a, eye))
+    assert np.array_equal(_eye_kron(n, a), np.kron(eye, a))
+    # selecting the rows of ancilla index e, as semicausal does, is the
+    # product with I tensor <e|
+    stacked = np.vstack([a * (k + 1) for k in range(n)])
+    for e in range(n):
+        bra = np.zeros((1, n))
+        bra[0, e] = 1.0
+        assert np.array_equal(stacked[e::n], np.kron(np.eye(a.shape[0]), bra) @ stacked)
+    if a.shape[0] == a.shape[1]:
+        # an operator on factors (0, 2) of (d, n, d) gets I_n in the middle
+        emb = _embed_operator(np.kron(a, a), (a.shape[0], n, a.shape[0]), (0, 2))
+        assert np.array_equal(emb, np.kron(np.kron(a, eye), a))

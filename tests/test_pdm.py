@@ -154,6 +154,12 @@ def test_reduce_keep_all_and_validation():
         reduce(r, [1, 0])
 
 
+def test_reduce_rejects_a_repeated_qubit():
+    r = pdm_closed_form(QuantumState.maximally_mixed(4, (2, 2)), QuantumChannel.identity(4))
+    with pytest.raises(ValueError, match="repeats"):
+        reduce(r, [(0, (1, 1)), 1])
+
+
 def test_reduce_subslot_matches_oracle_and_effective_channel():
     rng = generator(88)
     for _ in range(3):
@@ -314,3 +320,37 @@ def test_oracle_matches_iterative_on_drawn_chains(chain):
     rho, channels = chain
     oracle = pdm_from_measurements(rho, channels)
     assert max_abs_diff(oracle.mat.data, pdm_iterative(rho, channels).mat.data) < 1e-10
+
+
+@st.composite
+def derived_pdms(draw):
+    """A closed-form PDM with 1- or 2-qubit slots and a reduction of it."""
+    n = draw(st.integers(1, 2))
+    d = 2**n
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = random_state(d, rng, rank=draw(st.integers(1, d)), factors=(2,) * n)
+    r = pdm_closed_form(rho, random_channel(d, rng, kraus_count=draw(st.integers(1, d * d))))
+    slots = draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2, unique=True))
+    keep = [
+        (s, tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))))
+        for s in sorted(slots)
+    ]
+    return r, keep
+
+
+@settings(max_examples=40, deadline=None)
+@given(derived_pdms())
+def test_derived_pdms_and_marginals_pass_the_public_validators(case):
+    """reduce and time_reverse skip validation; their results must not need it."""
+    r, keep = case
+    reduced = reduce(r, keep)
+    derived = [reduced, time_reverse(r)]
+    if len(reduced.slots) == 2 and reduced.slots[0].qubits == reduced.slots[1].qubits:
+        derived.append(time_reverse(reduced))
+    for p in derived:
+        checked = PDM(ComplexMatrix(p.mat.data, p.mat.factors), p.slots)
+        for i in range(len(p.slots)):
+            m = marginal_state(p, i)
+            QuantumState(ComplexMatrix(m.mat.data, m.mat.factors))
+            # time_reverse passes the swapped reductions through unchanged
+            assert np.array_equal(m.mat.data, marginal_state(checked, i).mat.data)
