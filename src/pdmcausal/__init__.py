@@ -53,7 +53,6 @@ from .inference import (
     classify,
     extract_choi,
     extract_reverse_choi,
-    jordan_product_matrix,
     sdp_least_negative,
 )
 

@@ -6,8 +6,11 @@ and rho the first-slot marginal padded with the output identity.  When the
 marginal is full rank the solution is unique; otherwise the pseudo-inverse
 gives the minimum-norm member of an affine solution family, which is free
 only in the ker(marginal) tensor out block.  A small splitting solver
-searches that block, with a closed-form projection onto the trace-preserving
-members, for the one whose input-transposed matrix is least negative.
+searches that block for the member whose input-transposed matrix is least
+negative.  It works in the eigenbasis of rho, where the family is explicit
+entry by entry (each fixed entry is 2 R_ab / (lam_a + lam_b)), so it needs
+neither the Jordan matrix nor its pseudo-inverse, and projects onto the
+trace-preserving members in closed form.
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -21,12 +24,13 @@ the forward and time-reversed extracted matrices:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .channels import QuantumState, _input_transpose
+from .channels import _input_transpose
 from .linalg import (
     ComplexMatrix,
     NumericalInconsistencyError,
@@ -62,6 +66,11 @@ class Thresholds:
     rank_tol: float = 1e-9
     product_tol: float = 1e-9
 
+    def __post_init__(self):
+        for name, value in self.to_json().items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"threshold {name} must be finite and >= 0, got {value}")
+
     def to_json(self) -> dict:
         return {
             "eps_neg": self.eps_neg,
@@ -91,21 +100,13 @@ class ExtractionResult:
     converged: bool | None = None
 
 
-def jordan_product_matrix(first_marginal, out_dim: int) -> ComplexMatrix:
+def _jordan_product(marg: np.ndarray, out_dim: int) -> np.ndarray:
     """Matrix of X -> (rho X + X rho)/2 on row-major flattened operators.
 
     ``rho`` is the first-slot marginal padded with the identity on the
     output slot.  Hermitian PSD; its eigenvalues are the pairwise means of
     rho's eigenvalues.
     """
-    marg = first_marginal.mat if isinstance(first_marginal, QuantumState) else first_marginal
-    marg = np.asarray(marg.data if isinstance(marg, ComplexMatrix) else marg, dtype=np.complex128)
-    d = marg.shape[0] * out_dim
-    return ComplexMatrix._trusted(_jordan_product(marg, out_dim), (d, d))
-
-
-def _jordan_product(marg: np.ndarray, out_dim: int) -> np.ndarray:
-    """``jordan_product_matrix`` on a raw marginal."""
     rho = _kron_eye(marg, out_dim)
     d = rho.shape[0]
     j = _kron_eye(rho, d)
@@ -165,8 +166,8 @@ def _trace_out(x: np.ndarray, din: int, dout: int) -> np.ndarray:
     return np.trace(x.reshape(din, dout, din, dout), axis1=1, axis2=3)
 
 
-def _neg_part_trace(x: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(x)
+def _neg_part_trace(w: np.ndarray) -> float:
+    """Trace of the negative part of a Hermitian matrix with eigenvalues ``w``."""
     return float(-w[w < 0].sum() + 0.0)
 
 
@@ -179,6 +180,29 @@ def _prox_neg_part(x: np.ndarray, t: float, din: int, dout: int) -> np.ndarray:
     return _input_transpose(yt, din, dout)
 
 
+def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Solve (diag(lam) M + M diag(lam))/2 = r entrywise, as the Jordan pinv does.
+
+    ``r`` and ``M`` are written in the eigenbasis of rho, whose eigenvalues
+    are ``lam``.  Entry (a, b) is 2 r_ab / (lam_a + lam_b); entries whose
+    mean |lam_a + lam_b| / 2 is at most PINV_RCOND times the largest mean
+    are cut to zero, the cut the pseudo-inverse makes on the Jordan matrix's
+    eigenvalues.  The norm of ``r`` on the cut entries is the residual the
+    pinv solution leaves; above RESIDUAL_LIMIT no member of the family
+    reproduces the PDM and NumericalInconsistencyError is raised, so this
+    accepts exactly the PDMs ``extract_choi`` accepts.
+    """
+    mean = 0.5 * (lam[:, None] + lam[None, :])
+    size = np.abs(mean)
+    cut = size <= PINV_RCOND * size.max()
+    residual = float(np.linalg.norm(r[cut]))
+    if residual > RESIDUAL_LIMIT:
+        raise NumericalInconsistencyError(
+            f"PDM is inconsistent with the anticommutator family (residual {residual:.3e})"
+        )
+    return np.where(cut, 0.0, r / np.where(cut, 1.0, mean))
+
+
 def sdp_least_negative(
     pdm: PDM, direction: str = "forward", thresholds: Thresholds = Thresholds()
 ) -> ExtractionResult:
@@ -189,31 +213,41 @@ def sdp_least_negative(
     Douglas-Rachford splitting: alternate exact projection onto the affine
     set with the eigenvalue-clipping prox of the objective.
 
-    The solutions are the minimum-norm extraction M0 with its Q = Pk tensor I
-    block replaced, where Pk projects onto the marginal eigenvectors with
-    eigenvalue at most rank_tol.  The projection is closed form: keep M0
-    outside that block, keep the Hermitian part of the argument inside it,
-    and shift by (Pk Tr_out(.) Pk - Pk) tensor I / dout to restore Tr_out = I.
+    The search runs in the eigenbasis U = v tensor I of rho = marginal tensor
+    I, where the family is explicit entry by entry: outside the block of
+    marginal eigenvalues at most rank_tol (tensor out) every entry is fixed
+    at 2 R~_ab / (lam_a + lam_b) (``_jordan_solve``, which also rejects an
+    inconsistent PDM); the block is free.  The projection keeps the fixed
+    entries, keeps the Hermitian part of the argument inside the block, and
+    shifts it by (Tr_out(block) - I) tensor I / dout to restore Tr_out = I.
+    Conjugation by U turns into conjugation by conj(v) tensor I under the
+    input transpose, so the objective and the prox, which depend only on
+    eigenvalues, run unchanged on the rotated iterate; the result is rotated
+    back once and its residual measured against the PDM.
     """
     if direction == "reverse":
         pdm = time_reverse(pdm)
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'reverse'")
     din, dout = _two_slot_dims(pdm)
-    base = extract_choi(pdm, thresholds)
-    m0 = base.choi.data
-    marg = pdm._marginals[0][0]
+    marg, w_stored = pdm._marginals[0]
     w, v = np.linalg.eigh(marg)
-    kernel = v[:, _rank_deficient(w, thresholds)]
-    pk = kernel @ kernel.conj().T
-    q = _kron_eye(pk, dout)
-    fixed = m0 - q @ m0 @ q
+    # eigh sorts ascending, so the rank-deficient eigenvectors come first and
+    # the free block is the leading k*dout rows and columns
+    k = int(_rank_deficient(w, thresholds).sum())
+    kd = k * dout
+    u = _kron_eye(v, dout)
+    r = u.conj().T @ pdm.mat.data @ u
+    fixed = _jordan_solve(0.5 * (r + r.conj().T), np.repeat(w, dout))
+    eye_k = np.eye(k)
 
     def project(x: np.ndarray) -> np.ndarray:
-        x = q @ (0.5 * (x + x.conj().T)) @ q
-        return fixed + x - _kron_eye(_trace_out(x, din, dout) - pk, dout) / dout
+        block = 0.5 * (x[:kd, :kd] + x[:kd, :kd].conj().T)
+        y = fixed.copy()
+        y[:kd, :kd] = block - _kron_eye(_trace_out(block, k, dout) - eye_k, dout) / dout
+        return y
 
-    x0 = project(np.zeros_like(m0))
+    x0 = project(np.zeros_like(fixed))
     floor = float(np.linalg.norm(_trace_out(x0, din, dout) - np.eye(din)))
     if floor > RESIDUAL_LIMIT:
         raise NumericalInconsistencyError(
@@ -230,7 +264,7 @@ def sdp_least_negative(
     stall = 0
     for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
-        obj = _neg_part_trace(_input_transpose(y, din, dout))
+        obj = _neg_part_trace(np.linalg.eigvalsh(_input_transpose(y, din, dout)))
         if obj < best_obj:
             best_obj = obj
             best = y
@@ -250,15 +284,16 @@ def sdp_least_negative(
         obj_prev = obj
         z = z + _prox_neg_part(2.0 * y - z, SDP_STEP, din, dout) - y
 
-    n_best = project(best)
+    n_best = u @ project(best) @ u.conj().T
     n_best = 0.5 * (n_best + n_best.conj().T)
     rho = _kron_eye(marg, dout)
     residual = float(np.linalg.norm(0.5 * (rho @ n_best + n_best @ rho) - pdm.mat.data))
-    min_eig = float(np.linalg.eigvalsh(_input_transpose(n_best, din, dout)).min())
-    objective = _neg_part_trace(_input_transpose(n_best, din, dout))
+    eigs = np.linalg.eigvalsh(_input_transpose(n_best, din, dout))
+    objective = _neg_part_trace(eigs)
+    unique = not _rank_deficient(w_stored, thresholds).any()
     choi = ComplexMatrix._trusted(n_best, (din, dout))
     return ExtractionResult(
-        choi, residual, base.unique, min_eig, objective, iterations, converged
+        choi, residual, unique, float(eigs.min()), objective, iterations, converged
     )
 
 

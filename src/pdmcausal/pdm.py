@@ -193,12 +193,15 @@ def pdm_closed_form(
 ) -> PDM:
     """Two-slot PDM as half the anticommutator of the Choi matrix with rho1 x I."""
     _check_chain(rho1, [ch])
-    n_in = _qubits(ch.dim_in)
-    n_out = _qubits(ch.dim_out)
+    data = _closed_form(rho1.mat.data, ch)
+    return _wrap(data, [_qubits(ch.dim_in), _qubits(ch.dim_out)], labels)
+
+
+def _closed_form(rho1: np.ndarray, ch: QuantumChannel) -> np.ndarray:
+    """Raw half-anticommutator of the Choi matrix with rho1 x I; no validation."""
     m = choi_of(ch).data
-    rho = _kron_eye(rho1.mat.data, ch.dim_out)
-    data = 0.5 * (m @ rho + rho @ m)
-    return _wrap(data, [n_in, n_out], labels)
+    rho = _kron_eye(rho1, ch.dim_out)
+    return 0.5 * (m @ rho + rho @ m)
 
 
 def pdm_iterative(
@@ -210,7 +213,7 @@ def pdm_iterative(
     if not channels:
         raise ValueError("need at least one channel")
     dims = _check_chain(rho1, channels)
-    data = pdm_closed_form(rho1, channels[0]).mat.data
+    data = _closed_form(rho1.mat.data, channels[0])
     prefix_dim = dims[0] * dims[1]
     for ch, dim_out in zip(channels[1:], dims[2:]):
         extended = np.kron(data, np.eye(dim_out))

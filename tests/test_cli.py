@@ -95,6 +95,18 @@ def test_classify_rank_tol_flag(tmp_path, capsys):
     assert verdict["thresholds"]["rank_tol"] == 1e-2
 
 
+@pytest.mark.parametrize(
+    "flag", [["--rank-tol", "nan"], ["--rank-tol", "-1"], ["--eps-pos", "nan"], ["--eps-neg", "inf"]]
+)
+def test_classify_rejects_bad_thresholds(tmp_path, capsys, flag):
+    path = tmp_path / "R.json"
+    run(["pdm", "build", "--state", "plus", "--channel", "measure_prepare_z", "--out", str(path)], capsys)
+    code, text, err = run(["infer", "classify", "--in", str(path)] + flag, capsys)
+    assert code == 1
+    assert text == ""
+    assert "threshold" in err
+
+
 def test_classify_accepts_slightly_negative_marginal(tmp_path, capsys):
     rho = np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(2))
     m = choi_of(QuantumChannel.identity(2)).data

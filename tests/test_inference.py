@@ -19,10 +19,10 @@ from pdmcausal import inference
 from pdmcausal.inference import (
     CausalStructure,
     Thresholds,
+    _jordan_product,
     classify,
     extract_choi,
     extract_reverse_choi,
-    jordan_product_matrix,
     sdp_least_negative,
 )
 from pdmcausal.linalg import (
@@ -51,16 +51,16 @@ def full_rank_state(dim, rng):
 # ---------------------------------------------------------------------------
 
 def test_jordan_matrix_maximally_mixed_is_scalar():
-    j = jordan_product_matrix(QuantumState.maximally_mixed(2), 2)
-    assert max_abs_diff(j.data, np.eye(16) / 2) == 0
+    j = _jordan_product(QuantumState.maximally_mixed(2).mat.data, 2)
+    assert max_abs_diff(j, np.eye(16) / 2) == 0
 
 
 def test_jordan_matrix_rank_and_eigenvalues():
-    j = jordan_product_matrix(QuantumState.from_ket([1, 0]), 2)
-    w = np.sort(np.linalg.eigvalsh(j.data))
+    j = _jordan_product(QuantumState.from_ket([1, 0]).mat.data, 2)
+    w = np.sort(np.linalg.eigvalsh(j))
     expected = np.sort([1.0] * 4 + [0.5] * 8 + [0.0] * 4)
     assert np.abs(w - expected).max() < 1e-12
-    assert np.linalg.matrix_rank(j.data, tol=1e-10) == 12
+    assert np.linalg.matrix_rank(j, tol=1e-10) == 12
 
 
 def test_jordan_matrix_maps_choi_to_pdm():
@@ -69,8 +69,8 @@ def test_jordan_matrix_maps_choi_to_pdm():
         rho = full_rank_state(2, rng)
         ch = random_channel(2, rng)
         r = pdm_closed_form(rho, ch)
-        j = jordan_product_matrix(rho, 2)
-        lhs = j.data @ choi_of(ch).data.reshape(-1)
+        j = _jordan_product(rho.mat.data, 2)
+        lhs = j @ choi_of(ch).data.reshape(-1)
         assert np.abs(lhs - r.mat.data.reshape(-1)).max() < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_extract_rank_deficient_family():
     )
     assert max_abs_diff(res.choi.data, expected_min_norm) < 1e-10
     # any completion of the lower-right block stays a solution
-    j = jordan_product_matrix(QuantumState.from_ket([1, 0]), 2).data
+    j = _jordan_product(QuantumState.from_ket([1, 0]).mat.data, 2)
     rng = generator(4)
     for _ in range(5):
         block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -217,6 +217,39 @@ def test_sdp_rejects_infeasible_data():
 
 
 @st.composite
+def kernel_perturbed_pdms(draw):
+    """Rank-deficient one- or two-qubit-slot PDM plus a Hermitian perturbation
+    of size 1e-8..1e-4 inside the ker(marginal) tensor out block, traceless on
+    the output so the first marginal is unchanged."""
+    qubits = draw(st.integers(1, 2))
+    dim = 2**qubits
+    rank = draw(st.integers(1, dim - 1))
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = random_state(dim, rng, rank=rank, factors=(2,) * qubits)
+    r = pdm_closed_form(rho, random_channel(dim, rng))
+    k = dim - rank
+    lift = np.kron(np.linalg.eigh(rho.mat.data)[1][:, :k], np.eye(dim))
+    h = rng.standard_normal((k * dim,) * 2) + 1j * rng.standard_normal((k * dim,) * 2)
+    h = h + h.conj().T
+    h -= np.kron(np.trace(h.reshape(k, dim, k, dim), axis1=1, axis2=3), np.eye(dim)) / dim
+    size = 10.0 ** draw(st.floats(-8, -4))
+    bad = r.mat.data + size * lift @ h @ lift.conj().T
+    return PDM(ComplexMatrix(0.5 * (bad + bad.conj().T), r.mat.factors), r.slots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_perturbed_pdms())
+def test_sdp_consistency_check_matches_extraction(r):
+    try:
+        extract_choi(r)
+    except NumericalInconsistencyError:
+        with pytest.raises(NumericalInconsistencyError):
+            sdp_least_negative(r, "forward")
+    else:
+        assert sdp_least_negative(r, "forward").residual <= 1e-6
+
+
+@st.composite
 def rank_deficient_two_qubit_slots(draw):
     """PDM of a rank-1..3 two-qubit first state through a random or semicausal channel."""
     rank = draw(st.integers(1, 3))
@@ -269,6 +302,42 @@ def test_classify_rank_tol_selects_sdp_route(monkeypatch):
     assert calls == ["forward", "reverse"]
 
 
+def test_sdp_route_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
+    # rank-1 first state through a channel with a full-rank output: forward
+    # takes the SDP route, reverse the unique route
+    rng = generator(31)
+    r = pdm_closed_form(random_state(4, rng, rank=1, factors=(2, 2)), random_channel(4, rng))
+    extractions, sdp_calls, inside_sdp, pinv_in_sdp = [], [], [], []
+    original_extract = inference.extract_choi
+    original_sdp = inference.sdp_least_negative
+    original_pinv = np.linalg.pinv
+
+    def spy_extract(pdm, thresholds=Thresholds()):
+        extractions.append(pdm)
+        return original_extract(pdm, thresholds)
+
+    def spy_sdp(pdm, direction, thresholds):
+        sdp_calls.append(direction)
+        inside_sdp.append(direction)
+        try:
+            return original_sdp(pdm, direction, thresholds)
+        finally:
+            inside_sdp.pop()
+
+    def spy_pinv(*args, **kwargs):
+        pinv_in_sdp.extend(inside_sdp)
+        return original_pinv(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "extract_choi", spy_extract)
+    monkeypatch.setattr(inference, "sdp_least_negative", spy_sdp)
+    monkeypatch.setattr(np.linalg, "pinv", spy_pinv)
+    verdict = classify(r)
+    assert not verdict.unique_forward and verdict.unique_reverse
+    assert sdp_calls == ["forward"]
+    assert len(extractions) == 1
+    assert pinv_in_sdp == []
+
+
 def test_classify_time_reverses_each_reversed_direction_once(monkeypatch):
     calls = []
     original = inference.time_reverse
@@ -297,6 +366,14 @@ def test_accepted_pdm_with_slightly_negative_marginal_classifies():
     assert not extract_choi(r).unique
     verdict = classify(r)
     assert sorted(int(c) for c in verdict.compatible) == [1, 2]
+
+
+@pytest.mark.parametrize("field", ["eps_neg", "eps_pos", "rank_tol", "product_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_thresholds_must_be_finite_and_nonnegative(field, value):
+    with pytest.raises(ValueError, match=field):
+        Thresholds(**{field: value})
+    assert getattr(Thresholds(**{field: 0.0}), field) == 0.0
 
 
 def test_classify_measure_prepare_is_forward():
