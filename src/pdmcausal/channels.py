@@ -1,4 +1,4 @@
-"""Quantum states and channels: Kraus/unitary/Choi representations, the
+"""Quantum states and channels: Kraus and Choi representations, the
 input-transposed Choi matrix, one-sided (semicausal) compositions and
 Haar-random sampling.
 
@@ -108,7 +108,7 @@ def _choi_to_kraus(choi: ComplexMatrix) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """CPTP map stored as Kraus operators, a unitary, or a Choi matrix."""
+    """CPTP map stored as Kraus operators or a Choi matrix."""
 
     rep: str
     dim_in: int
@@ -130,11 +130,12 @@ class QuantumChannel:
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumChannel":
+        """Unitary conjugation, stored as a one-operator Kraus channel."""
         a = _as_array(u)
         d = a.shape[0]
         if np.abs(a.conj().T @ a - np.eye(d)).max() > CHANNEL_ATOL:
             raise ValueError("matrix is not unitary")
-        return cls("unitary", d, d, (a,))
+        return cls("kraus", d, d, (a,))
 
     @classmethod
     def from_choi(cls, choi: ComplexMatrix) -> "QuantumChannel":
@@ -156,8 +157,6 @@ class QuantumChannel:
     def kraus_operators(self) -> tuple[np.ndarray, ...]:
         if self.rep == "kraus":
             return self.payload
-        if self.rep == "unitary":
-            return (self.payload[0],)
         return _choi_to_kraus(self.payload[0])
 
     @cached_property

@@ -127,26 +127,24 @@ def _cmd_infer_classify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.scenario == "measure-prepare":
-        params = {"lambdas": args.lam}
+        rows = harness.run_measure_prepare(args.lam or harness.DEFAULT_LAMBDAS)
+    elif args.scenario == "common-cause-mixture":
+        rows = harness.run_common_cause_mixture(
+            args.theta or harness.DEFAULT_MIXTURE_THETAS_DEG
+        )
     else:
-        params = {"thetas_deg": args.theta}
-    cfg = harness.ScenarioConfig(args.scenario, params, args.out, args.format)
-    rows = harness.run_scenario(cfg)
-    text = harness.write_rows(rows, cfg.fmt, cfg.out)
+        rows = harness.run_swap_influence(args.theta or harness.DEFAULT_THETAS_DEG)
+    text = harness.write_rows(rows, args.format, args.out)
     if text is not None:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_sweep_haar(args) -> int:
-    cfg = harness.ScenarioConfig(
-        args.scenario,
-        {"n": args.n, "seed": args.seed, "thetas_deg": tuple(args.theta)},
-        args.out,
-        args.format,
-    )
-    rows, summary = harness.run_scenario(cfg)
-    text = harness.write_rows(rows, cfg.fmt, cfg.out)
+    # angles print as given, so the default goes in as floats like --theta's
+    thetas = args.theta or [float(t) for t in harness.DEFAULT_SWEEP_THETAS_DEG]
+    rows, summary = harness.run_haar_sweep(args.scenario, args.n, args.seed, thetas)
+    text = harness.write_rows(rows, args.format, args.out)
     if text is not None:
         sys.stdout.write(text)
         print(json.dumps(summary), file=sys.stderr)
@@ -245,8 +243,6 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "theta", None) is None and getattr(args, "command", "") == "sweep":
-        args.theta = [30.0, 60.0]
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

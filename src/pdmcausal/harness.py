@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,45 +40,8 @@ DEG = math.pi / 180.0
 DEFAULT_LAMBDAS = tuple(round(0.1 * k, 10) for k in range(1, 10))
 DEFAULT_THETAS_DEG = tuple(range(0, 91, 5))
 DEFAULT_MIXTURE_THETAS_DEG = tuple(range(5, 90, 5))
+DEFAULT_SWEEP_THETAS_DEG = (30, 60)
 SWEEP_NEG_THRESHOLD = 1e-6  # looser than classification, absorbs eigensolver noise
-
-
-@dataclass
-class ScenarioConfig:
-    """Scenario id plus its parameter map, output path and format."""
-
-    scenario: str
-    params: dict = field(default_factory=dict)
-    out: str | None = None
-    fmt: str = "json"
-
-
-def run_scenario(cfg: ScenarioConfig):
-    """Validate a config and dispatch to its runner.
-
-    Worked examples return rows; sweep scenarios return (rows, summary).
-    """
-    params = dict(cfg.params)
-    if cfg.fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {cfg.fmt!r}")
-    if cfg.scenario == "measure-prepare":
-        grid = params.get("lambdas") or DEFAULT_LAMBDAS
-        return run_measure_prepare(grid, params.get("thresholds", Thresholds()))
-    if cfg.scenario == "common-cause-mixture":
-        grid = params.get("thetas_deg") or DEFAULT_MIXTURE_THETAS_DEG
-        return run_common_cause_mixture(grid, params.get("thresholds", Thresholds()))
-    if cfg.scenario == "swap-influence":
-        return run_swap_influence(params.get("thetas_deg") or DEFAULT_THETAS_DEG)
-    if cfg.scenario in ("fig3", "fig4"):
-        if "seed" not in params:
-            raise ValueError(f"stochastic scenario {cfg.scenario!r} needs a seed")
-        return run_haar_sweep(
-            cfg.scenario,
-            n=params.get("n", 1000),
-            seed=params["seed"],
-            thetas_deg=tuple(params.get("thetas_deg") or (30, 60)),
-        )
-    raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
 
 def _check(condition: bool, message: str):
@@ -235,13 +197,17 @@ def _pdm_row(pdm, sample_id: int, extra: dict) -> dict:
     return row
 
 
-def run_haar_sweep(scenario: str, n: int = 1000, seed: int = 0, thetas_deg=(30, 60)):
+def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_THETAS_DEG):
     """Monte-Carlo negativity sweeps over one-way-signalling circuits.
 
     ``fig3``: ancilla caching (swap) followed by a Haar-random two-qubit
     unitary, fixed inputs |00> and the maximally entangled pair.
     ``fig4``: same caching followed by exp(-i theta S) at fixed angles,
     Haar-random pure two-qubit inputs.
+
+    ``n`` (samples) and ``seed`` are required: the output is a function of
+    both.  ``thetas_deg`` is used by ``fig4`` only and is echoed as given in
+    the ``theta_deg`` column and the summary keys.
 
     Returns (rows, summary); summary gives the fraction of samples with
     negativity above 1e-6 per group.
@@ -332,7 +298,9 @@ def rows_to_json(rows) -> str:
 
 
 def write_rows(rows, fmt: str, path: str | None) -> str | None:
-    """Serialize rows; write to ``path`` if given, else return the text."""
+    """Serialize rows as ``csv`` or ``json``; write to ``path`` if given, else return the text."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     if path is None:
         return text

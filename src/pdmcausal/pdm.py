@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import assemble_from_expectations, expectation_tensor
-from .channels import QuantumChannel, QuantumState, choi_of
+from .channels import TRACE_ATOL, QuantumChannel, QuantumState, choi_of
 from .linalg import (
     ComplexMatrix,
     _kron_eye,
@@ -39,7 +39,6 @@ from .linalg import (
 )
 from .pauli import pauli_basis
 
-TRACE_ATOL = 1e-10
 MARGINAL_EIG_ATOL = 1e-9
 MAX_SLOT_QUBITS = 6  # cap on slots*qubits for the definitional builder
 
@@ -115,10 +114,6 @@ class PDM:
         return self.mat.dim
 
 
-def _default_slots(qubit_counts: Sequence[int]) -> tuple[Slot, ...]:
-    return tuple(Slot(f"t{i + 1}", q) for i, q in enumerate(qubit_counts))
-
-
 def _qubits(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -126,14 +121,10 @@ def _qubits(dim: int) -> int:
     return n
 
 
-def _wrap(data: np.ndarray, qubit_counts: Sequence[int], labels=None) -> PDM:
-    total = sum(qubit_counts)
-    slots = (
-        _default_slots(qubit_counts)
-        if labels is None
-        else tuple(Slot(l, q) for l, q in zip(labels, qubit_counts))
-    )
-    return PDM(ComplexMatrix(data, (2,) * total), slots)
+def _wrap(data: np.ndarray, qubit_counts: Sequence[int]) -> PDM:
+    """Validated PDM with slots labelled t1, t2, ... in time order."""
+    slots = tuple(Slot(f"t{i + 1}", q) for i, q in enumerate(qubit_counts))
+    return PDM(ComplexMatrix(data, (2,) * sum(qubit_counts)), slots)
 
 
 def marginal_state(pdm: PDM, slot: int) -> QuantumState:
@@ -158,11 +149,7 @@ def _check_chain(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> list
     return dims
 
 
-def pdm_from_measurements(
-    rho1: QuantumState,
-    channels: Sequence[QuantumChannel],
-    labels: Sequence[str] | None = None,
-) -> PDM:
+def pdm_from_measurements(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM:
     """Definitional construction by simulating every measurement tuple.
 
     For each tuple of Pauli words, the signed post-measurement ensemble
@@ -185,16 +172,14 @@ def pdm_from_measurements(
     kraus_steps = [np.asarray(ch.kraus_operators) for ch in channels]
     expectations = expectation_tensor(rho1.mat.data, kraus_steps, paulis)
     data = assemble_from_expectations(expectations, paulis)
-    return _wrap(data, [n] * m, labels)
+    return _wrap(data, [n] * m)
 
 
-def pdm_closed_form(
-    rho1: QuantumState, ch: QuantumChannel, labels: Sequence[str] | None = None
-) -> PDM:
+def pdm_closed_form(rho1: QuantumState, ch: QuantumChannel) -> PDM:
     """Two-slot PDM as half the anticommutator of the Choi matrix with rho1 x I."""
     _check_chain(rho1, [ch])
     data = _closed_form(rho1.mat.data, ch)
-    return _wrap(data, [_qubits(ch.dim_in), _qubits(ch.dim_out)], labels)
+    return _wrap(data, [_qubits(ch.dim_in), _qubits(ch.dim_out)])
 
 
 def _closed_form(rho1: np.ndarray, ch: QuantumChannel) -> np.ndarray:
@@ -204,11 +189,7 @@ def _closed_form(rho1: np.ndarray, ch: QuantumChannel) -> np.ndarray:
     return 0.5 * (m @ rho + rho @ m)
 
 
-def pdm_iterative(
-    rho1: QuantumState,
-    channels: Sequence[QuantumChannel],
-    labels: Sequence[str] | None = None,
-) -> PDM:
+def pdm_iterative(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM:
     """Multi-slot PDM by repeatedly taking half-anticommutators with each Choi matrix."""
     if not channels:
         raise ValueError("need at least one channel")
@@ -220,7 +201,7 @@ def pdm_iterative(
         lifted = np.kron(np.eye(prefix_dim // ch.dim_in), choi_of(ch).data)
         data = 0.5 * (extended @ lifted + lifted @ extended)
         prefix_dim *= dim_out
-    return _wrap(data, [_qubits(d) for d in dims], labels)
+    return _wrap(data, [_qubits(d) for d in dims])
 
 
 # ---------------------------------------------------------------------------

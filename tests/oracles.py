@@ -93,8 +93,6 @@ def channel_to_json(ch: QuantumChannel) -> dict:
     """Writer for the channel file format that ``channel_from_json`` reads."""
     if ch.rep == "kraus":
         mats = [matrix_to_json(ComplexMatrix(k)) for k in ch.payload]
-    elif ch.rep == "unitary":
-        mats = [matrix_to_json(ComplexMatrix(ch.payload[0]))]
     else:
         mats = [matrix_to_json(ch.payload[0])]
     return {"rep": ch.rep, "dim_in": ch.dim_in, "dim_out": ch.dim_out, "matrices": mats}

@@ -123,6 +123,7 @@ def test_reproduce_measure_prepare(capsys):
     code, text, _ = run(["reproduce", "measure-prepare", "--lambda", "0.5"], capsys)
     assert code == 0
     rows = json.loads(text)
+    assert [r["lambda"] for r in rows] == [0.5]
     assert rows[0]["verdict"] == "1"
 
 
@@ -148,6 +149,36 @@ def test_sweep_haar_csv(tmp_path, capsys):
     assert len(first.strip().splitlines()) == 9  # header + 2 inputs x 4 samples
     run(args, capsys)
     assert out.read_text() == first  # bit-identical rerun
+
+
+@pytest.mark.parametrize(
+    ("theta_args", "angles"),
+    [([], {"30.0", "60.0"}), (["--theta", "45"], {"45.0"})],
+    ids=["default", "explicit"],
+)
+def test_sweep_haar_angles_print_as_floats(theta_args, angles, capsys):
+    args = ["sweep", "haar", "--scenario", "fig4", "--n", "2", "--seed", "3"]
+    code, text, err = run(args + theta_args, capsys)
+    assert code == 0
+    assert {line.split(",")[1] for line in text.splitlines()[1:]} == angles
+    assert set(json.loads(err)["fraction_negative"]) == angles
+
+
+def test_sweep_haar_needs_a_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "haar", "--scenario", "fig3", "--n", "2"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("scenario", "count"),
+    [("measure-prepare", 9), ("common-cause-mixture", 17), ("swap-influence", 19)],
+)
+def test_reproduce_default_grids(scenario, count, capsys):
+    code, text, _ = run(["reproduce", scenario], capsys)
+    assert code == 0
+    assert len(json.loads(text)) == count
 
 
 CHOI_OF_MEASURE_PREPARE = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0])))

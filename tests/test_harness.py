@@ -98,21 +98,15 @@ def test_self_check_failure_raises():
         harness.run_measure_prepare([0.5], thresholds=strict)
 
 
-def test_run_scenario_dispatch():
-    cfg = harness.ScenarioConfig("swap-influence", {"thetas_deg": [0, 90]})
-    assert len(harness.run_scenario(cfg)) == 2
-    cfg = harness.ScenarioConfig("measure-prepare", {"lambdas": [0.3]}, fmt="csv")
-    assert harness.run_scenario(cfg)[0]["lambda"] == 0.3
-    rows, summary = harness.run_scenario(
-        harness.ScenarioConfig("fig4", {"n": 3, "seed": 1, "thetas_deg": (45,)})
-    )
-    assert len(rows) == 3 and summary["n"] == 3
-    with pytest.raises(ValueError):
-        harness.run_scenario(harness.ScenarioConfig("fig3", {"n": 2}))  # no seed
-    with pytest.raises(ValueError):
-        harness.run_scenario(harness.ScenarioConfig("nope"))
-    with pytest.raises(ValueError):
-        harness.run_scenario(harness.ScenarioConfig("swap-influence", fmt="xml"))
+def test_haar_sweep_needs_a_seed():
+    with pytest.raises(TypeError):
+        harness.run_haar_sweep("fig3", n=2)
+
+
+def test_write_rows_rejects_unknown_format():
+    rows = harness.run_swap_influence([0])
+    with pytest.raises(ValueError, match="xml"):
+        harness.write_rows(rows, "xml", None)
 
 
 # sha256 of rows_to_csv at n=200 for the A9 seeds; the sweeps promise
