@@ -126,6 +126,11 @@ def _cmd_infer_classify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    # a grid flag the scenario does not read would silently run the default grid
+    if args.scenario == "measure-prepare" and args.theta:
+        raise ValueError("reproduce measure-prepare takes --lambda, not --theta")
+    if args.scenario != "measure-prepare" and args.lam:
+        raise ValueError(f"reproduce {args.scenario} takes --theta, not --lambda")
     if args.scenario == "measure-prepare":
         rows = harness.run_measure_prepare(args.lam or harness.DEFAULT_LAMBDAS)
     elif args.scenario == "common-cause-mixture":
@@ -141,6 +146,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_sweep_haar(args) -> int:
+    if args.scenario == "fig3" and args.theta:
+        raise ValueError("sweep haar --scenario fig3 takes no --theta (fig4 only)")
     # angles print as given, so the default goes in as floats like --theta's
     thetas = args.theta or [float(t) for t in harness.DEFAULT_SWEEP_THETAS_DEG]
     rows, summary = harness.run_haar_sweep(args.scenario, args.n, args.seed, thetas)
@@ -209,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="mixing weight(s) for measure-prepare",
     )
     p_rep.add_argument(
-        "--theta", type=float, action="append", help="angle(s) in degrees"
+        "--theta",
+        type=float,
+        action="append",
+        help="angle(s) in degrees for common-cause-mixture and swap-influence",
     )
     p_rep.add_argument("--format", choices=["csv", "json"], default="json")
     p_rep.add_argument("--out", default=None)

@@ -3,14 +3,18 @@
 Vectorizing the anticommutator closed form turns Choi extraction into the
 linear system  J vec(M) = vec(R)  with  J = (rho tensor I + I tensor rho^T)/2
 and rho the first-slot marginal padded with the output identity.  When the
-marginal is full rank the solution is unique; otherwise the pseudo-inverse
-gives the minimum-norm member of an affine solution family, which is free
-only in the ker(marginal) tensor out block.  A small splitting solver
-searches that block for the member whose input-transposed matrix is least
-negative.  It works in the eigenbasis of rho, where the family is explicit
-entry by entry (each fixed entry is 2 R_ab / (lam_a + lam_b)), so it needs
-neither the Jordan matrix nor its pseudo-inverse, and projects onto the
-trace-preserving members in closed form.
+marginal is full rank the solution is unique; otherwise it is an affine
+family, free only in the ker(marginal) tensor out block.  ``extract_choi``
+solves the system through the pseudo-inverse of J (the minimum-norm member);
+the sweeps use it.  In the eigenbasis of rho the system solves entry by
+entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
+J nor a pseudo-inverse; ``classify`` reads the unique member off it directly
+and, for a rank-deficient marginal, hands the family to a small splitting
+solver that searches the free block for a completely positive member,
+projecting onto the trace-preserving members in closed form.  Asked only to
+decide, the solver stops at the first proof either way: a member whose
+input transpose is PSD within eps_pos, or a dual (Farkas) certificate that
+bounds every member's smallest eigenvalue below -eps_pos.
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +51,8 @@ PINV_RCOND = 1e-10
 SDP_STEP = 1.0
 SDP_MAX_ITERATIONS = 50_000
 SDP_OBJECTIVE_TOL = 1e-6
+# Anderson acceleration of the Douglas-Rachford step: differences kept
+SDP_ANDERSON_MEMORY = 10
 
 
 class CausalStructure(IntEnum):
@@ -89,6 +96,14 @@ class ExtractionResult:
     eigenvalue of the input-transposed matrix (the CP witness).  The SDP
     path also fills ``objective`` (trace of the negative part attained),
     ``iterations`` and ``converged``.
+
+    ``route`` says how ``classify`` obtained the evidence: ``unique`` (the
+    one member of a full-rank family), ``certified_cp`` (a member whose
+    witness is at least -eps_pos), ``certified_not_cp`` (a dual certificate,
+    kept in ``certificate``: then ``min_eig_transposed`` is its bound, which
+    every member's witness lies at or below) or ``stalled`` (the solver's
+    best member when it stopped without a proof).  ``extract_choi`` leaves
+    it None.
     """
 
     choi: ComplexMatrix
@@ -98,6 +113,8 @@ class ExtractionResult:
     objective: float | None = None
     iterations: int | None = None
     converged: bool | None = None
+    route: str | None = None
+    certificate: ComplexMatrix | None = None
 
 
 def _jordan_product(marg: np.ndarray, out_dim: int) -> np.ndarray:
@@ -171,13 +188,17 @@ def _neg_part_trace(w: np.ndarray) -> float:
     return float(-w[w < 0].sum() + 0.0)
 
 
-def _prox_neg_part(x: np.ndarray, t: float, din: int, dout: int) -> np.ndarray:
-    """Prox of t * trace-of-negative-part composed with the input transpose."""
+def _prox_neg_part(x: np.ndarray, t: float, din: int, dout: int):
+    """Prox of t * trace-of-negative-part composed with the input transpose.
+
+    Also returns the eigenvalues ``w`` and eigenvectors ``v`` of the
+    transposed argument, which give the dual of the step (``_dual_bound``).
+    """
     xt = _input_transpose(x, din, dout)
     w, v = np.linalg.eigh(xt)
     shifted = np.where(w > 0, w, np.where(w < -t, w + t, 0.0))
     yt = (v * shifted) @ v.conj().T
-    return _input_transpose(yt, din, dout)
+    return _input_transpose(yt, din, dout), w, v
 
 
 def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -203,42 +224,171 @@ def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.where(cut, 0.0, r / np.where(cut, 1.0, mean))
 
 
+class _Eigenbasis(NamedTuple):
+    """A two-slot PDM written in the eigenbasis U = v tensor I of rho = marginal tensor I.
+
+    ``fixed`` is the entrywise solution of the Jordan equation there
+    (``_jordan_solve``, which rejects an inconsistent PDM) and ``k`` the
+    number of marginal eigenvalues at most rank_tol.  eigh sorts ascending,
+    so these come first and the free block of the family is the leading
+    k*dout rows and columns of ``fixed``.
+    """
+
+    din: int
+    dout: int
+    u: np.ndarray
+    fixed: np.ndarray
+    k: int
+
+
+def _eigenbasis(pdm: PDM, thresholds: Thresholds) -> _Eigenbasis:
+    din, dout = _two_slot_dims(pdm)
+    w, v = np.linalg.eigh(pdm._marginals[0][0])
+    u = _kron_eye(v, dout)
+    r = u.conj().T @ pdm.mat.data @ u
+    fixed = _jordan_solve(0.5 * (r + r.conj().T), np.repeat(w, dout))
+    return _Eigenbasis(din, dout, u, fixed, int(_rank_deficient(w, thresholds).sum()))
+
+
+def _in_pdm_basis(pdm: PDM, basis: _Eigenbasis, x: np.ndarray):
+    """Rotate a member back to the PDM's basis.
+
+    Returns it with its residual against the PDM and the eigenvalues of its
+    input transpose.
+    """
+    din, dout = basis.din, basis.dout
+    n = basis.u @ x @ basis.u.conj().T
+    n = 0.5 * (n + n.conj().T)
+    rho = _kron_eye(pdm._marginals[0][0], dout)
+    residual = float(np.linalg.norm(0.5 * (rho @ n + n @ rho) - pdm.mat.data))
+    eigs = np.linalg.eigvalsh(_input_transpose(n, din, dout))
+    return ComplexMatrix._trusted(n, (din, dout)), residual, eigs
+
+
+class _Anderson:
+    """Type-II Anderson acceleration of a fixed-point iteration z <- z + g(z).
+
+    Keeps the last ``memory`` differences of residuals g and of the plain
+    steps z + g, and replaces the plain step by the mix whose residual
+    differences best cancel g: its weights solve the m x m Gram system,
+    kept up to date one row per step.  Complex matrices are handled as real
+    vectors, so the weights are real and Hermitian iterates stay Hermitian.
+    The history is cleared whenever |g| grows, and the next step is then a
+    plain one (Fu, Zhang & Boyd, SIAM J. Sci. Comput. 42, 2020).
+    """
+
+    def __init__(self, memory: int, shape: tuple):
+        size = 2 * math.prod(shape)
+        self.memory = memory
+        self.dg = np.empty((memory, size))
+        self.df = np.empty((memory, size))
+        self.gram = np.empty((memory, memory))
+        self.count = 0
+        self.last = None  # (z, g, |g|^2) of the previous step, as real vectors
+
+    def step(self, z: np.ndarray, g: np.ndarray) -> np.ndarray:
+        shape = z.shape
+        z, g = z.reshape(-1).view(np.float64), g.reshape(-1).view(np.float64)
+        size = g @ g
+        if self.last is not None:
+            z_last, g_last, size_last = self.last
+            if size > size_last:
+                self.count = 0
+            else:
+                j = self.count % self.memory
+                self.dg[j] = g - g_last
+                self.df[j] = z - z_last + self.dg[j]
+                self.count += 1
+                m = min(self.count, self.memory)
+                row = self.dg[:m] @ self.dg[j]
+                self.gram[j, :m] = row
+                self.gram[:m, j] = row
+        self.last = (z, g, size)
+        m = min(self.count, self.memory)
+        if m == 0:
+            step = z + g
+        else:
+            gram = self.gram[:m, :m].copy()
+            scale = gram.trace()
+            if not scale > 0:  # the residual did not move
+                step = z + g
+            else:
+                gram.flat[:: m + 1] += 1e-12 * scale
+                weights = np.linalg.solve(gram, self.dg[:m] @ g)
+                step = z + g - weights @ self.df[:m]
+        return step.view(np.complex128).reshape(shape)
+
+
+def _dual_bound(weights, vecs, x0, k: int, din: int, dout: int):
+    """Farkas certificate that bounds the CP witness of every family member.
+
+    W = vecs diag(weights) vecs^H with weights >= 0 is PSD; the loop passes
+    the dual of its prox step, min(max(-w, 0), t) on the eigenpairs of the
+    transposed prox argument, which tends to an optimal dual.  V is the part
+    of the free block of T(W) not of the form A tensor I, and
+    W' = W - T(V) + |V|_F I is PSD too (T keeps the Frobenius norm).  The
+    free block of T(W') is then of the form A' tensor I, orthogonal to every
+    direction that keeps a member trace preserving, so c = <T(W'), N> =
+    <W', T(N)> is the same for every member N, here x0, whose free block
+    I tensor I / dout makes <V, x0> = Tr V / dout = 0.  As
+    <W', T(N)> >= lambda_min(T(N)) Tr W', every member has
+    lambda_min(T(N)) <= c / Tr W', the bound returned with W'.  Tr W' is
+    sum(weights) plus dim |V|_F, since Tr V = 0.
+    """
+    kd = k * dout
+    dual = (vecs * weights) @ vecs.conj().T
+    tw = _input_transpose(dual, din, dout)
+    block = tw[:kd, :kd]
+    v = block - _kron_eye(_trace_out(block, k, dout), dout) / dout
+    v_norm = float(np.linalg.norm(v))
+    c = np.vdot(tw, x0).real + v_norm * np.trace(x0).real
+    bound = c / (weights.sum() + dual.shape[0] * v_norm)
+    dual[:kd, :kd] -= _input_transpose(v, k, dout)
+    dual.flat[:: dual.shape[0] + 1] += v_norm
+    return bound, dual
+
+
 def sdp_least_negative(
-    pdm: PDM, direction: str = "forward", thresholds: Thresholds = Thresholds()
+    pdm: PDM,
+    direction: str = "forward",
+    thresholds: Thresholds = Thresholds(),
+    *,
+    decide: bool = False,
 ) -> ExtractionResult:
     """Least-negative member of the affine Choi solution family.
 
     Minimizes the trace of the negative part of the input-transposed matrix
     over Hermitian, trace-preserving solutions of J vec(N) = vec(R), by
     Douglas-Rachford splitting: alternate exact projection onto the affine
-    set with the eigenvalue-clipping prox of the objective.
+    set with the eigenvalue-clipping prox of the objective; the step is
+    Anderson accelerated (``_Anderson``).
 
     The search runs in the eigenbasis U = v tensor I of rho = marginal tensor
-    I, where the family is explicit entry by entry: outside the block of
-    marginal eigenvalues at most rank_tol (tensor out) every entry is fixed
-    at 2 R~_ab / (lam_a + lam_b) (``_jordan_solve``, which also rejects an
-    inconsistent PDM); the block is free.  The projection keeps the fixed
+    I (``_eigenbasis``), where the family is explicit entry by entry: outside
+    the block of marginal eigenvalues at most rank_tol (tensor out) every
+    entry is fixed; the block is free.  The projection keeps the fixed
     entries, keeps the Hermitian part of the argument inside the block, and
     shifts it by (Tr_out(block) - I) tensor I / dout to restore Tr_out = I.
     Conjugation by U turns into conjugation by conj(v) tensor I under the
     input transpose, so the objective and the prox, which depend only on
     eigenvalues, run unchanged on the rotated iterate; the result is rotated
     back once and its residual measured against the PDM.
+
+    With ``decide`` the loop stops at the first proof of whether some member
+    is CP within eps_pos: an iterate whose witness is at least -eps_pos
+    (route ``certified_cp``), or a dual certificate (``_dual_bound``) whose
+    bound is below -eps_pos (``certified_not_cp``, reporting the bound).  A
+    CP family never yields one, so it is tried only at iterations 1, 2, 4,
+    ...  Without a proof the loop stops where the run to the optimum stops
+    (``stalled``).
     """
     if direction == "reverse":
         pdm = time_reverse(pdm)
     elif direction != "forward":
         raise ValueError("direction must be 'forward' or 'reverse'")
-    din, dout = _two_slot_dims(pdm)
-    marg, w_stored = pdm._marginals[0]
-    w, v = np.linalg.eigh(marg)
-    # eigh sorts ascending, so the rank-deficient eigenvectors come first and
-    # the free block is the leading k*dout rows and columns
-    k = int(_rank_deficient(w, thresholds).sum())
+    basis = _eigenbasis(pdm, thresholds)
+    din, dout, fixed, k = basis.din, basis.dout, basis.fixed, basis.k
     kd = k * dout
-    u = _kron_eye(v, dout)
-    r = u.conj().T @ pdm.mat.data @ u
-    fixed = _jordan_solve(0.5 * (r + r.conj().T), np.repeat(w, dout))
     eye_k = np.eye(k)
 
     def project(x: np.ndarray) -> np.ndarray:
@@ -254,17 +404,24 @@ def sdp_least_negative(
             f"no Hermitian trace-preserving solution reproduces the PDM (floor {floor:.3e})"
         )
 
-    z = x0.copy()
+    accel = _Anderson(SDP_ANDERSON_MEMORY, fixed.shape)
+    z = x0
     y_prev = None
     obj_prev = np.inf
     best_obj = np.inf
     best = x0
     converged = False
+    route = "stalled"
+    next_check = 1
     iterations = 0
     stall = 0
     for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
-        obj = _neg_part_trace(np.linalg.eigvalsh(_input_transpose(y, din, dout)))
+        eigs = np.linalg.eigvalsh(_input_transpose(y, din, dout))
+        if decide and eigs[0] >= -thresholds.eps_pos:
+            route = "certified_cp"
+            break
+        obj = _neg_part_trace(eigs)
         if obj < best_obj:
             best_obj = obj
             best = y
@@ -282,18 +439,40 @@ def sdp_least_negative(
             stall = 0
         y_prev = y
         obj_prev = obj
-        z = z + _prox_neg_part(2.0 * y - z, SDP_STEP, din, dout) - y
+        x, w, v = _prox_neg_part(2.0 * y - z, SDP_STEP, din, dout)
+        if decide and iterations == next_check:
+            next_check *= 2
+            weights = np.clip(-w, 0.0, SDP_STEP)
+            bound, certificate = _dual_bound(weights, v, x0, k, din, dout)
+            if bound < -thresholds.eps_pos:
+                route = "certified_not_cp"
+                break
+        z = accel.step(z, x - y)
 
-    n_best = u @ project(best) @ u.conj().T
-    n_best = 0.5 * (n_best + n_best.conj().T)
-    rho = _kron_eye(marg, dout)
-    residual = float(np.linalg.norm(0.5 * (rho @ n_best + n_best @ rho) - pdm.mat.data))
-    eigs = np.linalg.eigvalsh(_input_transpose(n_best, din, dout))
-    objective = _neg_part_trace(eigs)
-    unique = not _rank_deficient(w_stored, thresholds).any()
-    choi = ComplexMatrix._trusted(n_best, (din, dout))
+    if route == "stalled":
+        member = best
+    else:
+        member, converged = y, True
+    choi, residual, member_eigs = _in_pdm_basis(pdm, basis, project(member))
+    if route == "certified_not_cp":
+        ubar = basis.u.conj()
+        certificate = ComplexMatrix._trusted(ubar @ certificate @ ubar.conj().T, (din, dout))
+        min_eig = bound
+    else:
+        certificate = None
+        # a certified member reports the witness its certificate checked
+        min_eig = float(eigs[0] if route == "certified_cp" else member_eigs.min())
+    unique = not _rank_deficient(pdm._marginals[0][1], thresholds).any()
     return ExtractionResult(
-        choi, residual, unique, float(eigs.min()), objective, iterations, converged
+        choi,
+        residual,
+        unique,
+        min_eig,
+        _neg_part_trace(member_eigs),
+        iterations,
+        converged,
+        route,
+        certificate,
     )
 
 
@@ -303,7 +482,13 @@ def sdp_least_negative(
 
 @dataclass(frozen=True, eq=False)
 class CausalVerdict:
-    """Compatibility subset of the five causal structures plus the evidence."""
+    """Compatibility subset of the five causal structures plus the evidence.
+
+    Per direction: ``min_eig_*`` is the CP witness the decision used (see
+    ``ExtractionResult.route`` for what it is on each route), ``route_*``
+    the route and ``residual_*`` the defect of the reported member against
+    the PDM.
+    """
 
     compatible: frozenset
     f: float
@@ -311,6 +496,10 @@ class CausalVerdict:
     min_eig_reverse: float
     unique_forward: bool
     unique_reverse: bool
+    route_forward: str
+    route_reverse: str
+    residual_forward: float
+    residual_reverse: float
     correlated: bool
     thresholds: Thresholds
 
@@ -327,6 +516,10 @@ class CausalVerdict:
             "min_eig_reverse": self.min_eig_reverse,
             "unique_forward": self.unique_forward,
             "unique_reverse": self.unique_reverse,
+            "route_forward": self.route_forward,
+            "route_reverse": self.route_reverse,
+            "residual_forward": self.residual_forward,
+            "residual_reverse": self.residual_reverse,
             "correlated": self.correlated,
             "compatible_reversed": sorted(int(c) for c in self.compatible_reversed),
             "thresholds": self.thresholds.to_json(),
@@ -334,15 +527,19 @@ class CausalVerdict:
 
 
 def _evidence(pdm: PDM, direction: str, thresholds: Thresholds) -> ExtractionResult:
-    """Unique extraction, or the least-negative completion when the oriented
-    first marginal is rank deficient; either way the PDM is extracted once.
+    """The unique member, or a decision on the least-negative completion when
+    the oriented first marginal is rank deficient; neither inverts J.
 
     The route comes from the stored eigenvalues of the slot that comes first
     in ``direction``, so a reversed direction is time-reversed only once."""
     first = 0 if direction == "forward" else 1
     if _rank_deficient(pdm._marginals[first][1], thresholds).any():
-        return sdp_least_negative(pdm, direction, thresholds)
-    return extract_choi(pdm if first == 0 else time_reverse(pdm), thresholds)
+        return sdp_least_negative(pdm, direction, thresholds, decide=True)
+    if first == 1:
+        pdm = time_reverse(pdm)
+    basis = _eigenbasis(pdm, thresholds)
+    choi, residual, eigs = _in_pdm_basis(pdm, basis, basis.fixed)
+    return ExtractionResult(choi, residual, True, float(eigs.min()), route="unique")
 
 
 def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
@@ -350,8 +547,9 @@ def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
 
     Negativity below eps_neg keeps only the common-cause structure; with
     negativity, the signs of the extracted forward/reverse matrices decide
-    between directed causation and a mixed structure.  Rank-deficient
-    marginals fall back to the least-negative completion.
+    between directed causation and a mixed structure.  A full-rank oriented
+    marginal fixes the extracted matrix; a rank-deficient one leaves a family,
+    and the least-negative completion decides whether it has a CP member.
     """
     if len(pdm.slots) != 2:
         raise ValueError("classification is defined for exactly two slots")
@@ -390,6 +588,10 @@ def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
         min_eig_reverse=rev.min_eig_transposed,
         unique_forward=fwd.unique,
         unique_reverse=rev.unique,
+        route_forward=fwd.route,
+        route_reverse=rev.route,
+        residual_forward=fwd.residual,
+        residual_reverse=rev.residual,
         correlated=correlated,
         thresholds=thresholds,
     )

@@ -13,6 +13,7 @@ from pdmcausal.inference import extract_choi
 from pdmcausal.linalg import ComplexMatrix, is_hermitian, matrix_to_json, partial_trace
 from pdmcausal.pauli import pauli_basis
 from pdmcausal.pdm import marginal_state
+from pdmcausal.rng import generator
 
 
 def kraus_action(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
@@ -122,3 +123,51 @@ def grid_oracle_objective(pdm, points=9):
                 eigs = np.linalg.eigvalsh(mt)
                 best = min(best, -eigs[eigs < 0].sum())
     return best
+
+
+def check_not_cp_certificate(pdm, result, thresholds, seed=0, draws=5):
+    """Check a ``certified_not_cp`` extraction against the PDM on its own.
+
+    The certificate W' must be PSD, and c = <W', T(N)> must take one value on
+    the reported member and on random members of the trace-preserving
+    solution family (its free ker(marginal) tensor out block moved by a
+    random Hermitian matrix with no output trace), each checked to reproduce
+    the PDM.  Then lambda_min(T(N)) Tr W' <= c for every member, so the
+    reported bound must be c / Tr W' and lie below -eps_pos, and the
+    reported member's witness must not exceed it.
+    """
+    assert result.route == "certified_not_cp"
+    din, dout = result.choi.factors
+    cert = result.certificate.data
+    assert is_hermitian(cert)
+    w_cert = np.linalg.eigvalsh(cert)
+    assert w_cert.min() >= -1e-12 * max(1.0, w_cert.max())
+
+    marg = marginal_state(pdm, 0).mat.data
+    w, v = np.linalg.eigh(marg)
+    kernel = v[:, w <= thresholds.rank_tol]
+    k = kernel.shape[1]
+    assert k > 0, "a singleton family needs no certificate"
+    lift = np.kron(kernel, np.eye(dout))
+    rho = np.kron(marg, np.eye(dout))
+    rng = generator(seed)
+    values = []
+    for i in range(draws + 1):
+        member = result.choi.data
+        if i:
+            h = rng.standard_normal((k * dout,) * 2) + 1j * rng.standard_normal((k * dout,) * 2)
+            h = h + h.conj().T
+            h -= np.kron(np.trace(h.reshape(k, dout, k, dout), axis1=1, axis2=3), np.eye(dout)) / dout
+            member = member + lift @ h @ lift.conj().T
+        assert np.abs(0.5 * (rho @ member + member @ rho) - pdm.mat.data).max() <= 1e-6
+        tr_out = np.trace(member.reshape(din, dout, din, dout), axis1=1, axis2=3)
+        assert np.abs(tr_out - np.eye(din)).max() <= 1e-7
+        transposed = input_transpose(ComplexMatrix(member, (din, dout))).data
+        values.append(float(np.vdot(cert, transposed).real))
+    c = values[0]
+    assert max(values) - min(values) <= 1e-12
+    bound = c / np.trace(cert).real
+    assert abs(bound - result.min_eig_transposed) <= 1e-12
+    assert bound < -thresholds.eps_pos
+    witness = np.linalg.eigvalsh(input_transpose(result.choi).data).min()
+    assert witness <= bound + 1e-12

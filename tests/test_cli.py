@@ -181,6 +181,23 @@ def test_reproduce_default_grids(scenario, count, capsys):
     assert len(json.loads(text)) == count
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "swap-influence", "--lambda", "0.5"],
+        ["reproduce", "common-cause-mixture", "--lambda", "0.5"],
+        ["reproduce", "measure-prepare", "--theta", "30"],
+        ["sweep", "haar", "--scenario", "fig3", "--n", "2", "--seed", "1", "--theta", "15"],
+    ],
+    ids=["swap-influence-lambda", "common-cause-mixture-lambda", "measure-prepare-theta",
+         "fig3-theta"],
+)
+def test_grid_flag_the_scenario_ignores_is_an_input_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and ("--theta" in err or "--lambda" in err)
+
+
 CHOI_OF_MEASURE_PREPARE = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0])))
 
 

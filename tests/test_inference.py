@@ -17,6 +17,7 @@ from pdmcausal.channels import (
 )
 from pdmcausal import inference
 from pdmcausal.inference import (
+    RESIDUAL_LIMIT,
     CausalStructure,
     Thresholds,
     _jordan_product,
@@ -36,7 +37,7 @@ from pdmcausal.pauli import SIGMA
 from pdmcausal.pdm import PDM, Slot, marginal_state, pdm_closed_form, reduce, time_reverse
 from pdmcausal.rng import generator
 
-from oracles import grid_oracle_objective
+from oracles import check_not_cp_certificate, grid_oracle_objective
 
 
 def full_rank_state(dim, rng):
@@ -217,18 +218,25 @@ def test_sdp_rejects_infeasible_data():
 
 
 @st.composite
-def kernel_perturbed_pdms(draw):
+def kernel_perturbed_pdms(draw, near_singular=False):
     """Rank-deficient one- or two-qubit-slot PDM plus a Hermitian perturbation
     of size 1e-8..1e-4 inside the ker(marginal) tensor out block, traceless on
-    the output so the first marginal is unchanged."""
+    the output so the first marginal is unchanged.  With ``near_singular``
+    the kernel gets a weight of 1e-14..1e-12 first: the marginal is full
+    rank, but its block falls under the pseudo-inverse's cut."""
     qubits = draw(st.integers(1, 2))
     dim = 2**qubits
     rank = draw(st.integers(1, dim - 1))
     rng = generator(draw(st.integers(0, 2**32 - 1)))
     rho = random_state(dim, rng, rank=rank, factors=(2,) * qubits)
-    r = pdm_closed_form(rho, random_channel(dim, rng))
     k = dim - rank
-    lift = np.kron(np.linalg.eigh(rho.mat.data)[1][:, :k], np.eye(dim))
+    kernel = np.linalg.eigh(rho.mat.data)[1][:, :k]
+    if near_singular:
+        weight = 10.0 ** draw(st.floats(-14, -12))
+        mixed = (1 - weight) * rho.mat.data + weight * kernel @ kernel.conj().T / k
+        rho = QuantumState.of(mixed, (2,) * qubits)
+    r = pdm_closed_form(rho, random_channel(dim, rng))
+    lift = np.kron(kernel, np.eye(dim))
     h = rng.standard_normal((k * dim,) * 2) + 1j * rng.standard_normal((k * dim,) * 2)
     h = h + h.conj().T
     h -= np.kron(np.trace(h.reshape(k, dim, k, dim), axis1=1, axis2=3), np.eye(dim)) / dim
@@ -247,6 +255,21 @@ def test_sdp_consistency_check_matches_extraction(r):
             sdp_least_negative(r, "forward")
     else:
         assert sdp_least_negative(r, "forward").residual <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_perturbed_pdms(near_singular=True))
+def test_unique_route_rejects_exactly_what_extraction_rejects(r):
+    exact = Thresholds(rank_tol=0.0)  # the tiny eigenvalues count as full rank
+    try:
+        extract_choi(r, exact)
+    except NumericalInconsistencyError:
+        with pytest.raises(NumericalInconsistencyError):
+            inference._evidence(r, "forward", exact)
+    else:
+        res = inference._evidence(r, "forward", exact)
+        assert res.route == "unique"
+        assert res.residual <= RESIDUAL_LIMIT
 
 
 @st.composite
@@ -280,6 +303,45 @@ def test_sdp_stays_in_family_on_two_qubit_slots(r):
     assert res.objective <= -eigs[eigs < 0].sum()
 
 
+@settings(max_examples=20, deadline=None)
+@given(rank_deficient_two_qubit_slots(), st.integers(0, 2**32 - 1))
+def test_sdp_decisions_are_certified_and_agree_with_the_optimum(r, seed):
+    # forward always has a CP member (the generating channel); reverse from a
+    # rank-deficient output often has none
+    th = Thresholds()
+    for direction in ("forward", "reverse"):
+        oriented = r if direction == "forward" else time_reverse(r)
+        if not (np.linalg.eigvalsh(marginal_state(oriented, 0).mat.data) <= th.rank_tol).any():
+            continue
+        decided = sdp_least_negative(r, direction, th, decide=True)
+        optimum = sdp_least_negative(r, direction, th)
+        cp = decided.min_eig_transposed >= -th.eps_pos
+        assert cp == (optimum.min_eig_transposed >= -th.eps_pos)
+        assert decided.iterations <= optimum.iterations
+        if decided.route == "certified_not_cp":
+            check_not_cp_certificate(oriented, decided, th, seed)
+        elif decided.route == "certified_cp":
+            assert max_abs_diff(partial_trace(decided.choi, {0}).data, np.eye(4)) <= 1e-7
+            assert decided.residual <= 1e-7
+            witness = np.linalg.eigvalsh(input_transpose(decided.choi).data).min()
+            assert witness >= -th.eps_pos - 1e-12
+
+
+def test_classify_certifies_both_directions_of_a_rank_one_semicausal_pdm():
+    # the forward family holds the generating channel; the reverse family,
+    # over the rank-deficient output, has no CP member
+    rng = generator(32)
+    r = pdm_closed_form(
+        random_state(4, rng, rank=1, factors=(2, 2)), random_semicausal(2, 2, 2, rng)
+    )
+    verdict = classify(r)
+    assert (verdict.route_forward, verdict.route_reverse) == ("certified_cp", "certified_not_cp")
+    assert verdict.compatible == {CausalStructure.A_TO_B}
+    rev = sdp_least_negative(r, "reverse", Thresholds(), decide=True)
+    assert rev.min_eig_transposed == verdict.min_eig_reverse
+    check_not_cp_certificate(time_reverse(r), rev, Thresholds())
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -289,9 +351,9 @@ def test_classify_rank_tol_selects_sdp_route(monkeypatch):
     calls = []
     original = inference.sdp_least_negative
 
-    def spy(pdm, direction, thresholds):
+    def spy(pdm, direction, thresholds, **kwargs):
         calls.append(direction)
-        return original(pdm, direction, thresholds)
+        return original(pdm, direction, thresholds, **kwargs)
 
     monkeypatch.setattr(inference, "sdp_least_negative", spy)
     default = classify(r)
@@ -302,30 +364,39 @@ def test_classify_rank_tol_selects_sdp_route(monkeypatch):
     assert calls == ["forward", "reverse"]
 
 
-def test_sdp_route_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
+def test_verdict_reports_the_residual_of_a_loose_rank_tol():
+    # rank_tol above the marginal's 0.001 treats it as kernel; the member
+    # found then misses the PDM by about 0.001 * |block|, and the verdict
+    # says so instead of dropping it
+    r = pdm_closed_form(QuantumState.of(np.diag([0.999, 0.001])), measure_prepare_z())
+    verdict = classify(r, Thresholds(rank_tol=1e-2))
+    assert verdict.route_forward != "unique"
+    blob = verdict.to_json()
+    assert blob["residual_forward"] == pytest.approx(7.071e-4, rel=1e-3)
+    assert blob["residual_forward"] > RESIDUAL_LIMIT
+    assert classify(r).to_json()["residual_forward"] <= 1e-12
+
+
+def test_classify_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
     # rank-1 first state through a channel with a full-rank output: forward
     # takes the SDP route, reverse the unique route
     rng = generator(31)
     r = pdm_closed_form(random_state(4, rng, rank=1, factors=(2, 2)), random_channel(4, rng))
-    extractions, sdp_calls, inside_sdp, pinv_in_sdp = [], [], [], []
+    extractions, sdp_calls, pinvs = [], [], []
     original_extract = inference.extract_choi
     original_sdp = inference.sdp_least_negative
     original_pinv = np.linalg.pinv
 
-    def spy_extract(pdm, thresholds=Thresholds()):
-        extractions.append(pdm)
-        return original_extract(pdm, thresholds)
+    def spy_extract(*args, **kwargs):
+        extractions.append(1)
+        return original_extract(*args, **kwargs)
 
-    def spy_sdp(pdm, direction, thresholds):
+    def spy_sdp(pdm, direction, thresholds, **kwargs):
         sdp_calls.append(direction)
-        inside_sdp.append(direction)
-        try:
-            return original_sdp(pdm, direction, thresholds)
-        finally:
-            inside_sdp.pop()
+        return original_sdp(pdm, direction, thresholds, **kwargs)
 
     def spy_pinv(*args, **kwargs):
-        pinv_in_sdp.extend(inside_sdp)
+        pinvs.append(1)
         return original_pinv(*args, **kwargs)
 
     monkeypatch.setattr(inference, "extract_choi", spy_extract)
@@ -333,9 +404,10 @@ def test_sdp_route_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", spy_pinv)
     verdict = classify(r)
     assert not verdict.unique_forward and verdict.unique_reverse
+    assert verdict.route_reverse == "unique"
     assert sdp_calls == ["forward"]
-    assert len(extractions) == 1
-    assert pinv_in_sdp == []
+    assert extractions == []
+    assert pinvs == []
 
 
 def test_classify_time_reverses_each_reversed_direction_once(monkeypatch):
@@ -477,6 +549,18 @@ def test_classify_mirrors_under_time_reversal(r):
     assert abs(mirrored.f - verdict.f) <= 1e-12
 
 
+def test_classify_three_qubit_slots_mirrors_and_finds_the_generating_direction():
+    rng = generator(33)
+    r = pdm_closed_form(full_rank_state(8, rng), random_channel(8, rng))
+    verdict = classify(r)
+    mirrored = classify(time_reverse(r))
+    assert verdict.route_forward == verdict.route_reverse == "unique"
+    assert verdict.min_eig_forward >= -Thresholds.eps_pos
+    assert mirrored.compatible == verdict.compatible_reversed
+    assert mirrored.min_eig_forward == verdict.min_eig_reverse
+    assert mirrored.min_eig_reverse == verdict.min_eig_forward
+
+
 def test_verdict_json_schema():
     r = pdm_closed_form(QuantumState.maximally_mixed(2), QuantumChannel.identity(2))
     blob = classify(r).to_json()
@@ -487,11 +571,17 @@ def test_verdict_json_schema():
         "min_eig_reverse",
         "unique_forward",
         "unique_reverse",
+        "route_forward",
+        "route_reverse",
+        "residual_forward",
+        "residual_reverse",
         "correlated",
         "compatible_reversed",
         "thresholds",
     }
     assert blob["compatible"] == [1, 2]
+    assert blob["route_forward"] == blob["route_reverse"] == "unique"
+    assert 0 <= blob["residual_forward"] <= 1e-12
     assert blob["thresholds"]["eps_neg"] == 1e-8
 
 
