@@ -147,6 +147,12 @@ class QuantumChannel:
             raise ValueError("Choi matrix is not trace preserving (Tr_out != I)")
         if not is_hermitian(choi.data):
             raise ValueError("Choi matrix is not Hermitian")
+        w_min = np.linalg.eigvalsh(_input_transpose(choi.data, dim_in, dim_out))[0]
+        if w_min < -CHANNEL_ATOL:
+            raise ValueError(
+                "Choi matrix is not completely positive "
+                f"(its input transpose has eigenvalue {w_min:.3e})"
+            )
         return cls("choi", dim_in, dim_out, (choi,))
 
     @classmethod

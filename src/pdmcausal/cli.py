@@ -27,7 +27,6 @@ from .linalg import NumericalInconsistencyError, matrix_from_json
 from .pdm import (
     PDM,
     negativity,
-    pdm_closed_form,
     pdm_from_json,
     pdm_from_measurements,
     pdm_iterative,
@@ -95,14 +94,10 @@ def _thresholds(args) -> Thresholds:
 def _cmd_pdm_build(args) -> int:
     state = _load_state(args.state)
     channels = [_load_channel(c) for c in args.channel]
-    if not channels:
-        pdm = pdm_from_measurements(state, [])
-    elif args.method == "measurements":
+    if args.method == "measurements" or not channels:
         pdm = pdm_from_measurements(state, channels)
-    elif args.method == "iterative" or len(channels) > 1:
-        pdm = pdm_iterative(state, channels)
     else:
-        pdm = pdm_closed_form(state, channels[0])
+        pdm = pdm_iterative(state, channels)
     _emit(json.dumps(pdm_to_json(pdm), indent=2) + "\n", args.out)
     return 0
 
@@ -179,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=["closed", "iterative", "measurements"],
         default="closed",
-        help="construction route (default closed form / iterative as needed)",
+        help="construction: measurements simulates every measurement tuple; closed "
+        "(the default) and iterative both name the anticommutator construction",
     )
     p_build.add_argument("--out", default=None)
     p_build.set_defaults(fn=_cmd_pdm_build)

@@ -8,13 +8,14 @@ family, free only in the ker(marginal) tensor out block.  ``extract_choi``
 solves the system through the pseudo-inverse of J (the minimum-norm member);
 the sweeps use it.  In the eigenbasis of rho the system solves entry by
 entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
-J nor a pseudo-inverse; ``classify`` reads the unique member off it directly
-and, for a rank-deficient marginal, hands the family to a small splitting
-solver that searches the free block for a completely positive member,
-projecting onto the trace-preserving members in closed form.  Asked only to
-decide, the solver stops at the first proof either way: a member whose
-input transpose is PSD within eps_pos, or a dual (Farkas) certificate that
-bounds every member's smallest eigenvalue below -eps_pos.
+J nor a pseudo-inverse.  ``classify`` works there on the input-transposed
+family, whose eigenvalues are the CP witness: it reads the unique member off
+it directly and, for a rank-deficient marginal, hands the family to a small
+splitting solver that searches the free block for a completely positive
+member, projecting onto the trace-preserving members in closed form.  Asked
+only to decide, the solver stops at the first proof either way: a member
+whose input transpose is PSD within eps_pos, or a dual (Farkas) certificate
+that bounds every member's smallest eigenvalue below -eps_pos.
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -188,19 +189,6 @@ def _neg_part_trace(w: np.ndarray) -> float:
     return float(-w[w < 0].sum() + 0.0)
 
 
-def _prox_neg_part(x: np.ndarray, t: float, din: int, dout: int):
-    """Prox of t * trace-of-negative-part composed with the input transpose.
-
-    Also returns the eigenvalues ``w`` and eigenvectors ``v`` of the
-    transposed argument, which give the dual of the step (``_dual_bound``).
-    """
-    xt = _input_transpose(x, din, dout)
-    w, v = np.linalg.eigh(xt)
-    shifted = np.where(w > 0, w, np.where(w < -t, w + t, 0.0))
-    yt = (v * shifted) @ v.conj().T
-    return _input_transpose(yt, din, dout), w, v
-
-
 def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Solve (diag(lam) M + M diag(lam))/2 = r entrywise, as the Jordan pinv does.
 
@@ -227,11 +215,12 @@ def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
 class _Eigenbasis(NamedTuple):
     """A two-slot PDM written in the eigenbasis U = v tensor I of rho = marginal tensor I.
 
-    ``fixed`` is the entrywise solution of the Jordan equation there
-    (``_jordan_solve``, which rejects an inconsistent PDM) and ``k`` the
-    number of marginal eigenvalues at most rank_tol.  eigh sorts ascending,
-    so these come first and the free block of the family is the leading
-    k*dout rows and columns of ``fixed``.
+    ``fixed`` is the input transpose of the entrywise solution of the Jordan
+    equation there (``_jordan_solve``, which rejects an inconsistent PDM),
+    so its eigenvalues are the CP witness; ``k`` is the number of marginal
+    eigenvalues at most rank_tol.  eigh sorts ascending, so these come first
+    and the free block of the family is the leading k*dout rows and columns
+    of ``fixed``; the input transpose maps that block to itself.
     """
 
     din: int
@@ -247,21 +236,23 @@ def _eigenbasis(pdm: PDM, thresholds: Thresholds) -> _Eigenbasis:
     u = _kron_eye(v, dout)
     r = u.conj().T @ pdm.mat.data @ u
     fixed = _jordan_solve(0.5 * (r + r.conj().T), np.repeat(w, dout))
-    return _Eigenbasis(din, dout, u, fixed, int(_rank_deficient(w, thresholds).sum()))
+    k = int(_rank_deficient(w, thresholds).sum())
+    return _Eigenbasis(din, dout, u, _input_transpose(fixed, din, dout), k)
 
 
 def _in_pdm_basis(pdm: PDM, basis: _Eigenbasis, x: np.ndarray):
-    """Rotate a member back to the PDM's basis.
+    """Rotate an input-transposed member back to the PDM's basis.
 
     Returns it with its residual against the PDM and the eigenvalues of its
-    input transpose.
+    input transpose, which are those of ``x``: the input transpose of
+    U N U^H is conj(U) T(N) conj(U)^H.
     """
     din, dout = basis.din, basis.dout
-    n = basis.u @ x @ basis.u.conj().T
+    eigs = np.linalg.eigvalsh(x)
+    n = basis.u @ _input_transpose(x, din, dout) @ basis.u.conj().T
     n = 0.5 * (n + n.conj().T)
     rho = _kron_eye(pdm._marginals[0][0], dout)
     residual = float(np.linalg.norm(0.5 * (rho @ n + n @ rho) - pdm.mat.data))
-    eigs = np.linalg.eigvalsh(_input_transpose(n, din, dout))
     return ComplexMatrix._trusted(n, (din, dout)), residual, eigs
 
 
@@ -319,31 +310,30 @@ class _Anderson:
         return step.view(np.complex128).reshape(shape)
 
 
-def _dual_bound(weights, vecs, x0, k: int, din: int, dout: int):
+def _dual_bound(weights, vecs, x0, k: int, dout: int):
     """Farkas certificate that bounds the CP witness of every family member.
 
-    W = vecs diag(weights) vecs^H with weights >= 0 is PSD; the loop passes
-    the dual of its prox step, min(max(-w, 0), t) on the eigenpairs of the
-    transposed prox argument, which tends to an optimal dual.  V is the part
-    of the free block of T(W) not of the form A tensor I, and
-    W' = W - T(V) + |V|_F I is PSD too (T keeps the Frobenius norm).  The
-    free block of T(W') is then of the form A' tensor I, orthogonal to every
-    direction that keeps a member trace preserving, so c = <T(W'), N> =
-    <W', T(N)> is the same for every member N, here x0, whose free block
-    I tensor I / dout makes <V, x0> = Tr V / dout = 0.  As
-    <W', T(N)> >= lambda_min(T(N)) Tr W', every member has
-    lambda_min(T(N)) <= c / Tr W', the bound returned with W'.  Tr W' is
-    sum(weights) plus dim |V|_F, since Tr V = 0.
+    Members and W live in the input-transposed frame.  W = vecs
+    diag(weights) vecs^H with weights >= 0 is PSD; the loop passes the dual
+    of its prox step, min(max(-w, 0), t) on the eigenpairs of the prox
+    argument, which tends to an optimal dual.  V is the part of the free
+    block of W not of the form A tensor I, and W' = W - V + |V|_F I is PSD
+    too.  The free block of W' is then of the form A' tensor I, orthogonal
+    to every direction that keeps a member trace preserving (the input
+    transpose maps A tensor I to A^T tensor I), so c = <W', T(N)> is the same
+    for every member T(N), here x0, whose free block I tensor I / dout makes
+    <V, x0> = Tr V / dout = 0.  As <W', T(N)> >= lambda_min(T(N)) Tr W',
+    every member has lambda_min(T(N)) <= c / Tr W', the bound returned with
+    W'.  Tr W' is sum(weights) plus dim |V|_F, since Tr V = 0.
     """
     kd = k * dout
     dual = (vecs * weights) @ vecs.conj().T
-    tw = _input_transpose(dual, din, dout)
-    block = tw[:kd, :kd]
+    block = dual[:kd, :kd]
     v = block - _kron_eye(_trace_out(block, k, dout), dout) / dout
     v_norm = float(np.linalg.norm(v))
-    c = np.vdot(tw, x0).real + v_norm * np.trace(x0).real
+    c = np.vdot(dual, x0).real + v_norm * np.trace(x0).real
     bound = c / (weights.sum() + dual.shape[0] * v_norm)
-    dual[:kd, :kd] -= _input_transpose(v, k, dout)
+    dual[:kd, :kd] -= v
     dual.flat[:: dual.shape[0] + 1] += v_norm
     return bound, dual
 
@@ -363,16 +353,18 @@ def sdp_least_negative(
     set with the eigenvalue-clipping prox of the objective; the step is
     Anderson accelerated (``_Anderson``).
 
-    The search runs in the eigenbasis U = v tensor I of rho = marginal tensor
-    I (``_eigenbasis``), where the family is explicit entry by entry: outside
-    the block of marginal eigenvalues at most rank_tol (tensor out) every
-    entry is fixed; the block is free.  The projection keeps the fixed
-    entries, keeps the Hermitian part of the argument inside the block, and
-    shifts it by (Tr_out(block) - I) tensor I / dout to restore Tr_out = I.
-    Conjugation by U turns into conjugation by conj(v) tensor I under the
-    input transpose, so the objective and the prox, which depend only on
-    eigenvalues, run unchanged on the rotated iterate; the result is rotated
-    back once and its residual measured against the PDM.
+    The search runs on the input transpose of the family written in the
+    eigenbasis U = v tensor I of rho = marginal tensor I (``_eigenbasis``).
+    There the family is explicit entry by entry: outside the block of
+    marginal eigenvalues at most rank_tol (tensor out) every entry is fixed;
+    the block is free.  The input transpose maps the block to itself and
+    A tensor I to A^T tensor I, so the projection keeps its form: keep the
+    fixed entries, keep the Hermitian part of the argument inside the block,
+    and shift it by (Tr_out(block) - I) tensor I / dout to restore
+    Tr_out = I.  Conjugation by U turns into conjugation by conj(v) tensor I
+    under the input transpose, so the witness is the iterate's eigenvalues
+    and the prox is a plain eigenvalue clip; the result is rotated back once
+    and its residual measured against the PDM.
 
     With ``decide`` the loop stops at the first proof of whether some member
     is CP within eps_pos: an iterate whose witness is at least -eps_pos
@@ -417,7 +409,7 @@ def sdp_least_negative(
     stall = 0
     for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
-        eigs = np.linalg.eigvalsh(_input_transpose(y, din, dout))
+        eigs = np.linalg.eigvalsh(y)
         if decide and eigs[0] >= -thresholds.eps_pos:
             route = "certified_cp"
             break
@@ -439,11 +431,13 @@ def sdp_least_negative(
             stall = 0
         y_prev = y
         obj_prev = obj
-        x, w, v = _prox_neg_part(2.0 * y - z, SDP_STEP, din, dout)
+        # prox: each negative eigenvalue moves toward 0 by its dual weight
+        w, v = np.linalg.eigh(2.0 * y - z)
+        weights = np.clip(-w, 0.0, SDP_STEP)
+        x = (v * (w + weights)) @ v.conj().T
         if decide and iterations == next_check:
             next_check *= 2
-            weights = np.clip(-w, 0.0, SDP_STEP)
-            bound, certificate = _dual_bound(weights, v, x0, k, din, dout)
+            bound, certificate = _dual_bound(weights, v, x0, k, dout)
             if bound < -thresholds.eps_pos:
                 route = "certified_not_cp"
                 break

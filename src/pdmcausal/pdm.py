@@ -6,10 +6,10 @@ state, but the full matrix may have negative eigenvalues.  The amount of
 negativity, trace norm minus one, is the causality monotone used by the
 inference module.
 
-Three constructions are provided: the definitional one that simulates every
+Two constructions are provided: the definitional one that simulates every
 coarse-grained measurement tuple (the oracle, exponential in slots*qubits),
-the anticommutator closed form through the channel's Choi matrix, and the
-iterative multi-slot extension of the closed form.
+and ``pdm_iterative``, one half-anticommutator step with a Choi matrix per
+channel, whose one-channel case is the closed form ``pdm_closed_form``.
 
 ``PDM(...)`` is the one validation point: every public builder and loader
 goes through it, and it computes each slot's reduction and eigenvalues once,
@@ -30,6 +30,7 @@ from ._kernels import assemble_from_expectations, expectation_tensor
 from .channels import TRACE_ATOL, QuantumChannel, QuantumState, choi_of
 from .linalg import (
     ComplexMatrix,
+    _eye_kron,
     _kron_eye,
     _partial_trace,
     _permute_factors,
@@ -63,6 +64,9 @@ class PDM:
     def __post_init__(self):
         slots = tuple(self.slots)
         object.__setattr__(self, "slots", slots)
+        for slot in slots:
+            if slot.qubits < 1:
+                raise ValueError(f"slot {slot.label} has {slot.qubits} qubits, need at least 1")
         total = sum(s.qubits for s in slots)
         if self.mat.factors != (2,) * total:
             raise ValueError(
@@ -177,30 +181,24 @@ def pdm_from_measurements(rho1: QuantumState, channels: Sequence[QuantumChannel]
 
 def pdm_closed_form(rho1: QuantumState, ch: QuantumChannel) -> PDM:
     """Two-slot PDM as half the anticommutator of the Choi matrix with rho1 x I."""
-    _check_chain(rho1, [ch])
-    data = _closed_form(rho1.mat.data, ch)
-    return _wrap(data, [_qubits(ch.dim_in), _qubits(ch.dim_out)])
-
-
-def _closed_form(rho1: np.ndarray, ch: QuantumChannel) -> np.ndarray:
-    """Raw half-anticommutator of the Choi matrix with rho1 x I; no validation."""
-    m = choi_of(ch).data
-    rho = _kron_eye(rho1, ch.dim_out)
-    return 0.5 * (m @ rho + rho @ m)
+    return pdm_iterative(rho1, [ch])
 
 
 def pdm_iterative(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM:
-    """Multi-slot PDM by repeatedly taking half-anticommutators with each Choi matrix."""
+    """Multi-slot PDM by one half-anticommutator step per channel.
+
+    Step j takes the PDM so far, extended by the identity on the new slot,
+    and the j-th Choi matrix, lifted by the identity on every slot before
+    its input slot.
+    """
     if not channels:
         raise ValueError("need at least one channel")
     dims = _check_chain(rho1, channels)
-    data = _closed_form(rho1.mat.data, channels[0])
-    prefix_dim = dims[0] * dims[1]
-    for ch, dim_out in zip(channels[1:], dims[2:]):
-        extended = np.kron(data, np.eye(dim_out))
-        lifted = np.kron(np.eye(prefix_dim // ch.dim_in), choi_of(ch).data)
+    data = rho1.mat.data
+    for ch, dim_out in zip(channels, dims[1:]):
+        extended = _kron_eye(data, dim_out)
+        lifted = _eye_kron(data.shape[0] // ch.dim_in, choi_of(ch).data)
         data = 0.5 * (extended @ lifted + lifted @ extended)
-        prefix_dim *= dim_out
     return _wrap(data, [_qubits(d) for d in dims])
 
 

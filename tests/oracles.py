@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pdmcausal.channels import QuantumChannel, QuantumState, input_transpose
+from pdmcausal.channels import QuantumChannel, QuantumState, choi_of, input_transpose
 from pdmcausal.inference import extract_choi
 from pdmcausal.linalg import ComplexMatrix, is_hermitian, matrix_to_json, partial_trace
 from pdmcausal.pauli import pauli_basis
@@ -36,6 +36,23 @@ def choi_pauli_form(ch: QuantumChannel) -> ComplexMatrix:
         raise ValueError("Pauli form needs a power-of-two dimension")
     acc = sum(np.kron(sigma, kraus_action(ch, sigma)) for sigma in pauli_basis(n))
     return ComplexMatrix(acc / ch.dim_in, (ch.dim_in, ch.dim_out))
+
+
+def pdm_kron_chain(rho1: QuantumState, channels) -> np.ndarray:
+    """Anticommutator PDM of a channel chain with each lift an explicit np.kron.
+
+    Step by step: the PDM so far tensor I_out, and I on the slots before the
+    channel's input tensor its Choi matrix; half their anticommutator is the
+    next PDM.
+    """
+    data = rho1.mat.data
+    prefix_dim = 1
+    for ch in channels:
+        extended = np.kron(data, np.eye(ch.dim_out))
+        lifted = np.kron(np.eye(prefix_dim), choi_of(ch).data)
+        data = 0.5 * (extended @ lifted + lifted @ extended)
+        prefix_dim *= ch.dim_in
+    return data
 
 
 class CpCheck(NamedTuple):

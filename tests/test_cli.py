@@ -42,6 +42,16 @@ def test_negativity_of_density_matrix_is_zero(tmp_path, capsys):
     assert json.loads(text)["compatible"] == [3]
 
 
+def test_slot_without_qubits_is_an_input_error(tmp_path, capsys):
+    blob = matrix_to_json(ComplexMatrix(0.25 * np.eye(4), (2, 2)))
+    blob["slots"] = [{"label": "t1", "qubits": 0}, {"label": "t2", "qubits": 2}]
+    path = tmp_path / "empty-slot.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(["pdm", "negativity", "--in", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "t1 has 0 qubits" in err
+
+
 def test_reverse_round_trip(tmp_path, capsys):
     first = tmp_path / "R.json"
     second = tmp_path / "Rbar.json"
@@ -199,24 +209,34 @@ def test_grid_flag_the_scenario_ignores_is_an_input_error(argv, capsys):
 
 
 CHOI_OF_MEASURE_PREPARE = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0])))
+# the transpose map: trace preserving and Hermitian, but its input transpose
+# is the swap, with eigenvalue -1
+OMEGA = np.array([1.0, 0, 0, 1])
+CHOI_OF_TRANSPOSE = matrix_to_json(ComplexMatrix(np.outer(OMEGA, OMEGA), (2, 2)))
 
 
 @pytest.mark.parametrize(
-    "blob",
+    "blob, message",
     [
-        {"rep": "choi", "dim_out": 2, "matrices": [CHOI_OF_MEASURE_PREPARE]},
-        {"rep": "unitary", "dim_in": 2, "dim_out": 2, "matrices": []},
-        {"rep": "choi", "dim_in": 2, "dim_out": 2, "matrices": []},
+        ({"rep": "choi", "dim_out": 2, "matrices": [CHOI_OF_MEASURE_PREPARE]},
+         "malformed channel JSON"),
+        ({"rep": "unitary", "dim_in": 2, "dim_out": 2, "matrices": []}, "malformed channel JSON"),
+        ({"rep": "choi", "dim_in": 2, "dim_out": 2, "matrices": []}, "malformed channel JSON"),
+        ({"rep": "choi", "matrices": [CHOI_OF_TRANSPOSE]}, "not completely positive"),
     ],
-    ids=["choi-without-dim-in", "unitary-no-matrices", "choi-no-matrices"],
+    ids=["choi-without-dim-in", "unitary-no-matrices", "choi-no-matrices", "choi-not-cp"],
 )
-def test_malformed_channel_json_is_an_input_error(tmp_path, capsys, blob):
+def test_malformed_channel_json_is_an_input_error(tmp_path, capsys, blob, message):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(blob))
-    code, out, err = run(["pdm", "build", "--state", "zero", "--channel", str(path)], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "malformed channel JSON" in err
-    assert "Traceback" not in err
+    for method in ("closed", "iterative", "measurements"):
+        code, out, err = run(
+            ["pdm", "build", "--state", "zero", "--channel", str(path), "--method", method],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 CHOI_OF_MEASURE_PREPARE_SPLIT = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0]), (2, 2)))

@@ -342,6 +342,33 @@ def test_classify_certifies_both_directions_of_a_rank_one_semicausal_pdm():
     check_not_cp_certificate(time_reverse(r), rev, Thresholds())
 
 
+def test_sdp_input_transposes_do_not_grow_with_its_iterations(monkeypatch):
+    # the search, its witness, its prox and its dual certificates all run in
+    # the input-transposed frame; only the set-up and the rotation back
+    # transpose
+    rng = generator(32)
+    r = pdm_closed_form(
+        random_state(4, rng, rank=1, factors=(2, 2)), random_semicausal(2, 2, 2, rng)
+    )
+    calls = []
+    original = inference._input_transpose
+
+    def spy(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(inference, "_input_transpose", spy)
+    counts = []
+    for cap in (1, inference.SDP_MAX_ITERATIONS):
+        monkeypatch.setattr(inference, "SDP_MAX_ITERATIONS", cap)
+        calls.clear()
+        res = sdp_least_negative(r, "forward", Thresholds(), decide=True)
+        counts.append((res.iterations, len(calls)))
+    (short, short_calls), (long, long_calls) = counts
+    assert short == 1 and long > 4
+    assert long_calls == short_calls
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------

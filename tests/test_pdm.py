@@ -31,7 +31,7 @@ from pdmcausal.pdm import (
 )
 from pdmcausal.rng import generator
 
-from oracles import apply, effective_channel
+from oracles import apply, effective_channel, pdm_kron_chain
 
 IDENTITY_CHANNEL_PDM = np.array(
     [[1, 0, 0, 0], [0, 0, 0.5, 0], [0, 0.5, 0, 0], [0, 0, 0, 0]], dtype=np.complex128
@@ -278,6 +278,14 @@ def test_pdm_validation():
         PDM(ComplexMatrix(np.eye(4) / 4, (4,)), (Slot("t1", 2),))
 
 
+@pytest.mark.parametrize("counts", [(0, 2), (-1, 3)], ids=["zero", "negative"])
+def test_pdm_loader_rejects_a_slot_without_qubits(counts):
+    blob = pdm_to_json(pdm_closed_form(random_state(2, 2), random_channel(2, 3)))
+    blob["slots"] = [{"label": f"t{i + 1}", "qubits": q} for i, q in enumerate(counts)]
+    with pytest.raises(ValueError, match="need at least 1"):
+        pdm_from_json(blob)
+
+
 def test_pdm_json_round_trip():
     r = pdm_closed_form(random_state(2, 2), random_channel(2, 3))
     back = pdm_from_json(pdm_to_json(r))
@@ -320,6 +328,28 @@ def test_oracle_matches_iterative_on_drawn_chains(chain):
     rho, channels = chain
     oracle = pdm_from_measurements(rho, channels)
     assert max_abs_diff(oracle.mat.data, pdm_iterative(rho, channels).mat.data) < 1e-10
+
+
+@st.composite
+def anticommutator_chains(draw):
+    """A random state and 1-3 random or semicausal channels on 1- or 2-qubit slots."""
+    n = draw(st.integers(1, 2))
+    d = 2**n
+    kinds = draw(st.lists(st.sampled_from(["random", "semicausal"]), min_size=1, max_size=3))
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = random_state(d, rng, rank=draw(st.integers(1, d)), factors=(2,) * n)
+    chain = [
+        random_channel(d, rng) if kind == "random" else random_semicausal(d // 2, 2, 2, rng)
+        for kind in kinds
+    ]
+    return rho, chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(anticommutator_chains())
+def test_iterative_equals_the_kron_chain_bitwise(chain):
+    rho, channels = chain
+    assert np.array_equal(pdm_iterative(rho, channels).mat.data, pdm_kron_chain(rho, channels))
 
 
 @st.composite
