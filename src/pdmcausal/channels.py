@@ -25,6 +25,7 @@ from .linalg import (
     _as_array,
     _embed_operator,
     _eye_kron,
+    _json_int,
     is_hermitian,
     matrix_from_json,
     partial_trace,
@@ -188,9 +189,10 @@ def input_transpose(m: ComplexMatrix) -> ComplexMatrix:
 
 
 def _input_transpose(x: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """``input_transpose`` on a raw (d1*d2)-square array."""
-    d = d1 * d2
-    return x.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d, d)
+    """``input_transpose`` on raw (d1*d2)-square arrays with any leading stack axes."""
+    lead = x.shape[:-2]
+    t = x.reshape(lead + (d1, d2, d1, d2)).swapaxes(-4, -2)
+    return t.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +333,10 @@ def channel_from_id(name: str) -> QuantumChannel:
 
 def _declared_dims(obj: dict) -> tuple[int | None, int | None]:
     """The optional ``dim_in``/``dim_out`` of a channel file, None where absent."""
-    dims = []
-    for key in ("dim_in", "dim_out"):
-        try:
-            dims.append(int(obj[key]) if key in obj else None)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"malformed channel JSON: bad {key}: {exc}") from exc
+    dims = [
+        _json_int(obj[key], f"malformed channel JSON: bad {key}:") if key in obj else None
+        for key in ("dim_in", "dim_out")
+    ]
     return dims[0], dims[1]
 
 

@@ -3,7 +3,10 @@
 Every reproduction scenario asserts its own expected outcomes and raises
 NumericalInconsistencyError on mismatch, so a clean exit certifies the run.
 Sweeps derive one Philox stream per sample as ``seed ^ index``, making the
-output a deterministic function of (scenario, parameters, seed).
+output a deterministic function of (scenario, parameters, seed).  Each
+sweep sample runs its PDMs as one stack: one build, one validation, one
+reduction, and one ``extract_choi`` call per direction; the rows equal
+those of building and extracting each PDM alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     QuantumState,
+    choi_of,
     haar_unitary,
     measure_prepare_z,
     partial_swap,
@@ -25,15 +29,23 @@ from .channels import (
     semicausal,
     swap_channel,
 )
-from .inference import (
-    CausalStructure,
-    Thresholds,
-    classify,
-    extract_choi,
-    extract_reverse_choi,
+from .inference import CausalStructure, Thresholds, classify, extract_choi
+from .linalg import (
+    NumericalInconsistencyError,
+    _partial_trace,
+    _permute_factors,
+    max_abs_diff,
 )
-from .linalg import NumericalInconsistencyError, max_abs_diff
-from .pdm import pdm_closed_form, negativity, reduce
+from .pdm import (
+    PDM,
+    Slot,
+    _anticommutator_step,
+    _negativity,
+    _validate,
+    negativity,
+    pdm_closed_form,
+    reduce,
+)
 from .rng import sample_stream
 
 DEG = math.pi / 180.0
@@ -42,6 +54,10 @@ DEFAULT_THETAS_DEG = tuple(range(0, 91, 5))
 DEFAULT_MIXTURE_THETAS_DEG = tuple(range(5, 90, 5))
 DEFAULT_SWEEP_THETAS_DEG = (30, 60)
 SWEEP_NEG_THRESHOLD = 1e-6  # looser than classification, absorbs eigensolver noise
+# a sweep PDM has two 2-qubit slots; its rows read the first qubit of the
+# first slot and the second qubit of the second
+FULL_SLOTS = (Slot("t1", 2), Slot("t2", 2))
+REDUCED_SLOTS = (Slot("t1", 1), Slot("t2", 1))
 
 
 def _check(condition: bool, message: str):
@@ -181,20 +197,30 @@ def run_swap_influence(thetas_deg=DEFAULT_THETAS_DEG):
 # Monte-Carlo sweeps
 # ---------------------------------------------------------------------------
 
-def _pdm_row(pdm, sample_id: int, extra: dict) -> dict:
-    f = negativity(pdm)
-    fwd = extract_choi(pdm)
-    rev = extract_reverse_choi(pdm)
-    row = {"sample_id": sample_id}
-    row.update(extra)
-    row.update(
+def _sample_rows(full: np.ndarray, sample_id: int, group_key: str, groups) -> list[dict]:
+    """Rows of one sample from its stack of two-slot PDMs, one per group
+    (input or angle).
+
+    The stack is validated once and reduced to the first qubit of the first
+    slot and the second of the second; the reduced PDMs are extracted
+    forward as one stack and time-reversed as another.
+    """
+    _validate(full, FULL_SLOTS)
+    reduced = _partial_trace(full, (2,) * 4, (0, 3))
+    f = _negativity(reduced)
+    fwd = extract_choi([PDM._trusted(r, REDUCED_SLOTS) for r in reduced])
+    flipped = _permute_factors(reduced, (2, 2), (1, 0))
+    rev = extract_choi([PDM._trusted(r, REDUCED_SLOTS[::-1]) for r in flipped])
+    return [
         {
-            "f": f,
-            "min_eig_fwd": fwd.min_eig_transposed,
-            "min_eig_rev": rev.min_eig_transposed,
+            "sample_id": sample_id,
+            group_key: group,
+            "f": float(f[k]),
+            "min_eig_fwd": fwd[k].min_eig_transposed,
+            "min_eig_rev": rev[k].min_eig_transposed,
         }
-    )
-    return row
+        for k, group in enumerate(groups)
+    ]
 
 
 def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_THETAS_DEG):
@@ -209,6 +235,10 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
     both.  ``thetas_deg`` is used by ``fig4`` only and is echoed as given in
     the ``theta_deg`` column and the summary keys.
 
+    Each sample builds its PDMs as one stack: fig3 stacks the two inputs
+    under the sample's channel, fig4 the angles' channels on the sample's
+    state.  One sample is held at a time.
+
     Returns (rows, summary); summary gives the fraction of samples with
     negativity above 1e-6 per group.
     """
@@ -222,34 +252,30 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
             "zero_zero": QuantumState.from_ket([1, 0, 0, 0], (2, 2)),
             "bell": QuantumState.from_ket([1, 0, 0, 1], (2, 2)),
         }
+        states = np.stack([state.mat.data for state in inputs.values()])
 
         def work(i: int):
             rng = sample_stream(seed, i)
             unitary = haar_unitary(4, rng)
             channel = semicausal(cache_first, QuantumChannel.from_unitary(unitary.data), ancilla)
-            out = []
-            for input_id, state in inputs.items():
-                full = pdm_closed_form(state, channel)
-                r = reduce(full, [(0, (0,)), (1, (1,))])
-                out.append(_pdm_row(r, i, {"input_id": input_id}))
-            return out
+            full = _anticommutator_step(states, choi_of(channel).data, 4, 4)
+            return _sample_rows(full, i, group_key, inputs)
 
         group_key = "input_id"
     elif scenario == "fig4":
+        if not thetas_deg:
+            raise ValueError("fig4 needs at least one angle")
         channels = {
             deg: semicausal(cache_first, partial_swap(-deg * DEG), ancilla)
             for deg in thetas_deg
         }
+        chois = np.stack([choi_of(channel).data for channel in channels.values()])
 
         def work(i: int):
             rng = sample_stream(seed, i)
             state = random_pure_state(4, rng, (2, 2))
-            out = []
-            for deg, channel in channels.items():
-                full = pdm_closed_form(state, channel)
-                r = reduce(full, [(0, (0,)), (1, (1,))])
-                out.append(_pdm_row(r, i, {"theta_deg": deg}))
-            return out
+            full = _anticommutator_step(state.mat.data, chois, 4, 4)
+            return _sample_rows(full, i, group_key, channels)
 
         group_key = "theta_deg"
     else:

@@ -5,8 +5,9 @@ linear system  J vec(M) = vec(R)  with  J = (rho tensor I + I tensor rho^T)/2
 and rho the first-slot marginal padded with the output identity.  When the
 marginal is full rank the solution is unique; otherwise it is an affine
 family, free only in the ker(marginal) tensor out block.  ``extract_choi``
-solves the system through the pseudo-inverse of J (the minimum-norm member);
-the sweeps use it.  In the eigenbasis of rho the system solves entry by
+solves the system through the pseudo-inverse of J (the minimum-norm member),
+for one PDM or a stack of them in one call; the sweeps use it, one stack per
+direction of each sample.  In the eigenbasis of rho the system solves entry by
 entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
 J nor a pseudo-inverse.  ``classify`` works there on the input-transposed
 family, whose eigenvalues are the CP witness: it reads the unique member off
@@ -42,6 +43,7 @@ from .linalg import (
     NumericalInconsistencyError,
     _eye_kron,
     _kron_eye,
+    _partial_trace,
     max_abs_diff,
 )
 from .pdm import PDM, negativity, time_reverse
@@ -92,7 +94,8 @@ class Thresholds:
 class ExtractionResult:
     """Extracted Choi matrix with input factor first.
 
-    ``residual`` is the 2-norm defect of the linear system; ``unique`` is
+    ``residual`` is the 2-norm defect of the linear system for this PDM
+    alone, also when it was extracted as part of a sequence; ``unique`` is
     whether the marginal was full rank; ``min_eig_transposed`` the smallest
     eigenvalue of the input-transposed matrix (the CP witness).  The SDP
     path also fills ``objective`` (trace of the negative part attained),
@@ -122,13 +125,13 @@ def _jordan_product(marg: np.ndarray, out_dim: int) -> np.ndarray:
     """Matrix of X -> (rho X + X rho)/2 on row-major flattened operators.
 
     ``rho`` is the first-slot marginal padded with the identity on the
-    output slot.  Hermitian PSD; its eigenvalues are the pairwise means of
-    rho's eigenvalues.
+    output slot; ``marg`` may carry leading stack axes.  Hermitian PSD; its
+    eigenvalues are the pairwise means of rho's eigenvalues.
     """
     rho = _kron_eye(marg, out_dim)
-    d = rho.shape[0]
+    d = rho.shape[-1]
     j = _kron_eye(rho, d)
-    j += _eye_kron(d, rho.T)
+    j += _eye_kron(d, rho.swapaxes(-2, -1))
     j *= 0.5
     return j
 
@@ -144,27 +147,55 @@ def _two_slot_dims(pdm: PDM) -> tuple[int, int]:
     return 2 ** pdm.slots[0].qubits, 2 ** pdm.slots[1].qubits
 
 
-def extract_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionResult:
+def extract_choi(
+    pdms, thresholds: Thresholds = Thresholds()
+) -> ExtractionResult | tuple[ExtractionResult, ...]:
     """Solve J vec(M) = vec(R) for the forward Choi matrix.
 
+    ``pdms`` is one two-slot PDM, which gives one ExtractionResult, or a
+    sequence of them with equal slot sizes, which gives a tuple of them in
+    order.  A sequence runs as one stack: its first-slot marginals, Jordan
+    matrices, pseudo-inverses and witnesses are computed in one call each,
+    with the results of extracting each PDM alone, bit for bit.
+
     Raises NumericalInconsistencyError when no member of the closed-form
-    family reproduces the PDM (residual above the limit).
+    family reproduces a PDM (its residual is above the limit).
     """
-    din, dout = _two_slot_dims(pdm)
-    marg, w = pdm._marginals[0]
+    single = isinstance(pdms, PDM)
+    seq = (pdms,) if single else tuple(pdms)
+    if not seq:
+        raise ValueError("need at least one PDM to extract from")
+    din, dout = _two_slot_dims(seq[0])
+    if any(_two_slot_dims(p) != (din, dout) for p in seq[1:]):
+        raise ValueError("extraction from a sequence needs equal slot sizes")
+    data = np.stack([p.mat.data for p in seq])
+    marg = _partial_trace(data, seq[0].mat.factors, range(seq[0].slots[0].qubits))
+    w = np.linalg.eigvalsh(marg)
     jmat = _jordan_product(marg, dout)
-    rvec = pdm.mat.data.reshape(-1)
+    rvec = data.reshape(len(seq), -1, 1)
     mvec = np.linalg.pinv(jmat, rcond=PINV_RCOND) @ rvec
-    residual = float(np.linalg.norm(jmat @ mvec - rvec))
-    if residual > RESIDUAL_LIMIT:
-        raise NumericalInconsistencyError(
-            f"PDM is inconsistent with the anticommutator family (residual {residual:.3e})"
+    defect = jmat @ mvec - rvec
+    # one norm per PDM: a norm over the stack's last axis rounds differently
+    residuals = [float(np.linalg.norm(x[:, 0])) for x in defect]
+    for residual in residuals:
+        if residual > RESIDUAL_LIMIT:
+            raise NumericalInconsistencyError(
+                f"PDM is inconsistent with the anticommutator family (residual {residual:.3e})"
+            )
+    m = mvec.reshape(len(seq), din * dout, din * dout)
+    m = 0.5 * (m + m.conj().swapaxes(-2, -1))
+    unique = ~_rank_deficient(w, thresholds).any(axis=-1)
+    min_eig = np.linalg.eigvalsh(_input_transpose(m, din, dout)).min(axis=-1)
+    results = tuple(
+        ExtractionResult(
+            ComplexMatrix._trusted(m[k], (din, dout)),
+            residuals[k],
+            bool(unique[k]),
+            float(min_eig[k]),
         )
-    m = mvec.reshape(din * dout, din * dout)
-    m = 0.5 * (m + m.conj().T)
-    unique = not _rank_deficient(w, thresholds).any()
-    min_eig = float(np.linalg.eigvalsh(_input_transpose(m, din, dout)).min())
-    return ExtractionResult(ComplexMatrix._trusted(m, (din, dout)), residual, unique, min_eig)
+        for k in range(len(seq))
+    )
+    return results[0] if single else results
 
 
 def extract_reverse_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionResult:

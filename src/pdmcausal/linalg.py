@@ -83,11 +83,13 @@ class ComplexMatrix:
 
 
 def is_hermitian(m) -> bool:
+    """Hermitian to HERMITICITY_RTOL times the largest entry; over a stack,
+    every matrix against its own largest entry."""
     a = _as_array(m)
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        return True
-    return np.abs(a - a.conj().T).max() <= HERMITICITY_RTOL * scale
+    flat = a.shape[:-2] + (-1,)
+    scale = np.abs(a).reshape(flat).max(axis=-1)
+    defect = np.abs(a - a.conj().swapaxes(-2, -1)).reshape(flat).max(axis=-1)
+    return bool((defect <= HERMITICITY_RTOL * scale).all())
 
 
 def partial_trace(m: ComplexMatrix, keep: Iterable[int]) -> ComplexMatrix:
@@ -106,17 +108,20 @@ def partial_trace(m: ComplexMatrix, keep: Iterable[int]) -> ComplexMatrix:
 
 
 def _partial_trace(a: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
-    """``partial_trace`` on a raw array; ``keep`` holds valid factor indices."""
+    """``partial_trace`` on a raw array with any leading stack axes; ``keep``
+    holds valid factor indices."""
     n = len(dims)
-    t = a.reshape(dims + dims)
+    lead = a.shape[:-2]
+    t = a.reshape(lead + dims + dims)
+    offset = len(lead)
     remaining = n
     for i in range(n - 1, -1, -1):
         if i in keep:
             continue
-        t = t.trace(axis1=i, axis2=i + remaining)
+        t = t.trace(axis1=offset + i, axis2=offset + i + remaining)
         remaining -= 1
     d = math.prod(dims[i] for i in keep)
-    return t.reshape(d, d)
+    return t.reshape(lead + (d, d))
 
 
 def permute_factors(m: ComplexMatrix, order: Sequence[int]) -> ComplexMatrix:
@@ -131,29 +136,34 @@ def permute_factors(m: ComplexMatrix, order: Sequence[int]) -> ComplexMatrix:
 
 
 def _permute_factors(a: np.ndarray, dims: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """``permute_factors`` on a raw array; ``order`` is a valid permutation."""
+    """``permute_factors`` on a raw array with any leading stack axes;
+    ``order`` is a valid permutation."""
     n = len(dims)
+    lead = a.shape[:-2]
+    offset = len(lead)
     axes = order + tuple(n + k for k in order)
-    d = a.shape[0]
-    return a.reshape(dims + dims).transpose(axes).reshape(d, d)
+    axes = tuple(range(offset)) + tuple(offset + k for k in axes)
+    return a.reshape(lead + dims + dims).transpose(axes).reshape(a.shape)
 
 
 def _kron_eye(a: np.ndarray, n: int) -> np.ndarray:
-    """``np.kron(a, I_n)`` for a 2-D ``a``, as a zero fill plus one block copy."""
-    r, c = a.shape
-    out = np.zeros((r, n, c, n), dtype=np.complex128)
+    """``np.kron(a, I_n)`` on the last two axes of ``a``, as a zero fill plus
+    one block copy."""
+    *lead, r, c = a.shape
+    out = np.zeros((*lead, r, n, c, n), dtype=np.complex128)
     k = np.arange(n)
-    out[:, k, :, k] = a
-    return out.reshape(r * n, c * n)
+    out[..., :, k, :, k] = a
+    return out.reshape(*lead, r * n, c * n)
 
 
 def _eye_kron(n: int, a: np.ndarray) -> np.ndarray:
-    """``np.kron(I_n, a)`` for a 2-D ``a``, as a zero fill plus one block copy."""
-    r, c = a.shape
-    out = np.zeros((n, r, n, c), dtype=np.complex128)
+    """``np.kron(I_n, a)`` on the last two axes of ``a``, as a zero fill plus
+    one block copy."""
+    *lead, r, c = a.shape
+    out = np.zeros((*lead, n, r, n, c), dtype=np.complex128)
     k = np.arange(n)
-    out[k, :, k, :] = a
-    return out.reshape(n * r, n * c)
+    out[..., k, :, k, :] = a
+    return out.reshape(*lead, n * r, n * c)
 
 
 def _embed_operator(
@@ -193,11 +203,19 @@ def matrix_to_json(m: ComplexMatrix) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """A count read from JSON: an ``int``, never a bool, a float or a string
+    that ``int()`` would truncate or parse."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def matrix_from_json(obj: dict) -> ComplexMatrix:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-        factors = tuple(int(f) for f in obj["factors"])
+        factors = tuple(_json_int(f, "malformed matrix JSON: factor") for f in obj["factors"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != im.shape:

@@ -13,9 +13,12 @@ channel, whose one-channel case is the closed form ``pdm_closed_form``.
 
 ``PDM(...)`` is the one validation point: every public builder and loader
 goes through it, and it computes each slot's reduction and eigenvalues once,
-which ``marginal_state`` and the extraction reuse.  PDMs derived from a valid
-one by ``reduce`` and ``time_reverse`` come from ``PDM._trusted``, which
-neither re-checks nor copies.
+which ``marginal_state`` and ``classify`` reuse.  Its checks are one routine,
+``_validate``, over a stack of matrices; ``PDM(...)`` runs it on a stack of
+one, the sweeps on each sample's stack.  PDMs derived from a valid one by
+``reduce`` and ``time_reverse`` come from ``PDM._trusted``, which neither
+re-checks nor copies.  The anticommutator step and the negativity likewise
+run on stacks (``_anticommutator_step``, ``_negativity``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .channels import TRACE_ATOL, QuantumChannel, QuantumState, choi_of
 from .linalg import (
     ComplexMatrix,
     _eye_kron,
+    _json_int,
     _kron_eye,
     _partial_trace,
     _permute_factors,
@@ -72,17 +76,8 @@ class PDM:
             raise ValueError(
                 f"matrix factors {self.mat.factors} do not match {total} qubits"
             )
-        a = self.mat.data
-        if not is_hermitian(a):
-            raise ValueError("PDM is not Hermitian")
-        tr = np.trace(a).real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"PDM trace {tr} != 1")
-        for slot, (_, w) in zip(slots, self._marginals):
-            if w.min() < -MARGINAL_EIG_ATOL:
-                raise ValueError(
-                    f"slot {slot.label} reduction has negative eigenvalue {w.min():.3e}"
-                )
+        marginals = _validate(self.mat.data[None], slots)
+        self.__dict__["_marginals"] = tuple((m[0], w[0]) for m, w in marginals)
 
     @classmethod
     def _trusted(cls, data: np.ndarray, slots: tuple[Slot, ...], marginals=None) -> "PDM":
@@ -102,20 +97,47 @@ class PDM:
     @cached_property
     def _marginals(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each slot's reduction with its ascending eigenvalues."""
-        out = []
-        for i in range(len(self.slots)):
-            m = _partial_trace(self.mat.data, self.mat.factors, self._slot_range(i))
-            m.setflags(write=False)
-            out.append((m, np.linalg.eigvalsh(m)))
-        return tuple(out)
-
-    def _slot_range(self, index: int) -> range:
-        start = sum(s.qubits for s in self.slots[:index])
-        return range(start, start + self.slots[index].qubits)
+        return _slot_marginals(self.mat.data, self.slots)
 
     @property
     def dim(self) -> int:
         return self.mat.dim
+
+
+def _slot_marginals(data: np.ndarray, slots: tuple[Slot, ...]):
+    """Each slot's reduction of ``data`` with its ascending eigenvalues, over
+    any leading stack axes of ``data``."""
+    factors = (2,) * sum(s.qubits for s in slots)
+    out = []
+    start = 0
+    for slot in slots:
+        m = _partial_trace(data, factors, range(start, start + slot.qubits))
+        m.setflags(write=False)
+        out.append((m, np.linalg.eigvalsh(m)))
+        start += slot.qubits
+    return tuple(out)
+
+
+def _validate(data: np.ndarray, slots: tuple[Slot, ...]):
+    """The PDM checks on an (s, d, d) stack whose factors match ``slots``.
+
+    Each matrix must be Hermitian against its own largest entry, have unit
+    trace and PSD slot reductions; the first failure raises ValueError.
+    Returns the slot reductions as ``_slot_marginals`` does.
+    """
+    if not is_hermitian(data):
+        raise ValueError("PDM is not Hermitian")
+    tr = np.trace(data, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_ATOL:
+        raise ValueError(f"PDM trace {tr[(off > TRACE_ATOL).argmax()]} != 1")
+    marginals = _slot_marginals(data, slots)
+    for slot, (_, w) in zip(slots, marginals):
+        if w.min() < -MARGINAL_EIG_ATOL:
+            lowest = w.min(axis=-1)
+            first = lowest[(lowest < -MARGINAL_EIG_ATOL).argmax()]
+            raise ValueError(f"slot {slot.label} reduction has negative eigenvalue {first:.3e}")
+    return marginals
 
 
 def _qubits(dim: int) -> int:
@@ -196,10 +218,21 @@ def pdm_iterative(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM
     dims = _check_chain(rho1, channels)
     data = rho1.mat.data
     for ch, dim_out in zip(channels, dims[1:]):
-        extended = _kron_eye(data, dim_out)
-        lifted = _eye_kron(data.shape[0] // ch.dim_in, choi_of(ch).data)
-        data = 0.5 * (extended @ lifted + lifted @ extended)
+        data = _anticommutator_step(data, choi_of(ch).data, ch.dim_in, dim_out)
     return _wrap(data, [_qubits(d) for d in dims])
+
+
+def _anticommutator_step(
+    data: np.ndarray, choi: np.ndarray, dim_in: int, dim_out: int
+) -> np.ndarray:
+    """Half the anticommutator of ``data`` tensor I_out with the Choi matrix
+    lifted by the identity on every slot before its input slot.
+
+    ``data`` and ``choi`` may carry leading stack axes, which broadcast.
+    """
+    extended = _kron_eye(data, dim_out)
+    lifted = _eye_kron(data.shape[-1] // dim_in, choi)
+    return 0.5 * (extended @ lifted + lifted @ extended)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +276,7 @@ def reduce(pdm: PDM, keep) -> PDM:
     global_keep = []
     new_slots = []
     for slot, qubits in selections:
-        start = pdm._slot_range(slot).start
+        start = sum(s.qubits for s in pdm.slots[:slot])
         global_keep.extend(start + q for q in qubits)
         new_slots.append(Slot(pdm.slots[slot].label, len(qubits)))
     reduced = _partial_trace(pdm.mat.data, pdm.mat.factors, global_keep)
@@ -252,8 +285,12 @@ def reduce(pdm: PDM, keep) -> PDM:
 
 def negativity(pdm: PDM) -> float:
     """Causality monotone: trace norm minus one; zero iff the PDM is PSD."""
-    w = np.linalg.eigvalsh(pdm.mat.data)
-    return float(np.abs(w).sum() - 1.0)
+    return float(_negativity(pdm.mat.data))
+
+
+def _negativity(data: np.ndarray) -> np.ndarray:
+    """``negativity`` of each matrix in a stack of Hermitian matrices."""
+    return np.abs(np.linalg.eigvalsh(data)).sum(axis=-1) - 1.0
 
 
 def time_reverse(pdm: PDM) -> PDM:
@@ -282,7 +319,10 @@ def pdm_to_json(pdm: PDM) -> dict:
 def pdm_from_json(obj: dict) -> PDM:
     mat = matrix_from_json(obj)
     try:
-        slots = tuple(Slot(str(s["label"]), int(s["qubits"])) for s in obj["slots"])
+        slots = tuple(
+            Slot(str(s["label"]), _json_int(s["qubits"], "malformed PDM JSON: slot qubits"))
+            for s in obj["slots"]
+        )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed PDM JSON: {exc}") from exc
     return PDM(mat, slots)

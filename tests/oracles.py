@@ -8,12 +8,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pdmcausal.channels import QuantumChannel, QuantumState, choi_of, input_transpose
-from pdmcausal.inference import extract_choi
+from pdmcausal.channels import (
+    QuantumChannel,
+    QuantumState,
+    choi_of,
+    haar_unitary,
+    input_transpose,
+    partial_swap,
+    random_pure_state,
+    semicausal,
+    swap_channel,
+)
+from pdmcausal.harness import DEG
+from pdmcausal.inference import (
+    PINV_RCOND,
+    _jordan_product,
+    _rank_deficient,
+    extract_choi,
+    extract_reverse_choi,
+)
 from pdmcausal.linalg import ComplexMatrix, is_hermitian, matrix_to_json, partial_trace
 from pdmcausal.pauli import pauli_basis
-from pdmcausal.pdm import marginal_state
-from pdmcausal.rng import generator
+from pdmcausal.pdm import marginal_state, negativity, pdm_closed_form, reduce
+from pdmcausal.rng import generator, sample_stream
 
 
 def kraus_action(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
@@ -188,3 +205,75 @@ def check_not_cp_certificate(pdm, result, thresholds, seed=0, draws=5):
     assert bound < -thresholds.eps_pos
     witness = np.linalg.eigvalsh(input_transpose(result.choi).data).min()
     assert witness <= bound + 1e-12
+
+
+def unstacked_extraction(pdm, thresholds):
+    """``extract_choi`` on one PDM with 2-D numpy calls only.
+
+    Returns (choi data, residual, unique, min_eig_transposed); the stacked
+    extraction must reproduce each bit for bit.
+    """
+    din, dout = (2**s.qubits for s in pdm.slots)
+    marg = partial_trace(pdm.mat, range(pdm.slots[0].qubits)).data
+    jmat = _jordan_product(marg, dout)
+    rvec = pdm.mat.data.reshape(-1)
+    mvec = np.linalg.pinv(jmat, rcond=PINV_RCOND) @ rvec
+    residual = float(np.linalg.norm(jmat @ mvec - rvec))
+    m = mvec.reshape(din * dout, din * dout)
+    m = 0.5 * (m + m.conj().T)
+    unique = not _rank_deficient(np.linalg.eigvalsh(marg), thresholds).any()
+    witness = input_transpose(ComplexMatrix(m, (din, dout))).data
+    return m, residual, unique, float(np.linalg.eigvalsh(witness).min())
+
+
+def pdm_row(pdm, sample_id: int, extra: dict) -> dict:
+    """One sweep row from one two-slot PDM through the public per-PDM calls."""
+    f = negativity(pdm)
+    fwd = extract_choi(pdm)
+    rev = extract_reverse_choi(pdm)
+    row = {"sample_id": sample_id}
+    row.update(extra)
+    row.update(
+        {
+            "f": f,
+            "min_eig_fwd": fwd.min_eig_transposed,
+            "min_eig_rev": rev.min_eig_transposed,
+        }
+    )
+    return row
+
+
+def reference_sweep_rows(scenario: str, n: int, seed: int, thetas_deg=(30, 60)) -> list:
+    """``harness.run_haar_sweep``'s rows, one validated PDM at a time.
+
+    Each sample draws from the same per-sample stream, builds each PDM with
+    ``pdm_closed_form``, reduces it with ``reduce`` and reads it with
+    ``pdm_row``: the unstacked path the sweep's stacks must match bit for bit.
+    """
+    ancilla = QuantumState.from_ket([1, 0])
+    cache_first = swap_channel(2)
+    keep = [(0, (0,)), (1, (1,))]
+    rows = []
+    for i in range(n):
+        rng = sample_stream(seed, i)
+        if scenario == "fig3":
+            unitary = haar_unitary(4, rng)
+            channel = semicausal(cache_first, QuantumChannel.from_unitary(unitary.data), ancilla)
+            cases = [
+                ({"input_id": "zero_zero"}, QuantumState.from_ket([1, 0, 0, 0], (2, 2)), channel),
+                ({"input_id": "bell"}, QuantumState.from_ket([1, 0, 0, 1], (2, 2)), channel),
+            ]
+        else:
+            state = random_pure_state(4, rng, (2, 2))
+            cases = [
+                (
+                    {"theta_deg": deg},
+                    state,
+                    semicausal(cache_first, partial_swap(-deg * DEG), ancilla),
+                )
+                for deg in thetas_deg
+            ]
+        for extra, state, channel in cases:
+            r = reduce(pdm_closed_form(state, channel), keep)
+            rows.append(pdm_row(r, i, extra))
+    return rows

@@ -3,10 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from pdmcausal.channels import QuantumChannel, QuantumState, choi_of, measure_prepare_z
+from pdmcausal.channels import (
+    QuantumChannel,
+    QuantumState,
+    channel_from_json,
+    choi_of,
+    measure_prepare_z,
+)
 from pdmcausal.cli import main
-from pdmcausal.linalg import ComplexMatrix, matrix_to_json
-from pdmcausal.pdm import pdm_closed_form, pdm_to_json
+from pdmcausal.linalg import ComplexMatrix, matrix_from_json, matrix_to_json
+from pdmcausal.pdm import pdm_closed_form, pdm_from_json, pdm_to_json
 
 
 def run(argv, capsys):
@@ -273,6 +279,53 @@ def test_channel_json_must_agree_with_its_declared_shape(tmp_path, capsys, blob)
     code, out, err = run(["pdm", "build", "--state", "zero", "--channel", str(path)], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "malformed channel JSON" in err
+
+
+def _pdm_blob_with_qubits(value):
+    blob = pdm_to_json(pdm_closed_form(QuantumState.from_ket([1, 0]), measure_prepare_z()))
+    blob["slots"][0]["qubits"] = value
+    return pdm_from_json, blob
+
+
+def _matrix_blob_with_factor(value):
+    blob = matrix_to_json(ComplexMatrix(np.eye(4) / 4, (2, 2)))
+    blob["factors"][0] = value
+    return matrix_from_json, blob
+
+
+def _channel_blob_with_dim(key):
+    def make(value):
+        blob = {"rep": "kraus", "dim_in": 2, "dim_out": 2, "matrices": [I2]}
+        blob[key] = value
+        return channel_from_json, blob
+
+    return make
+
+
+@pytest.mark.parametrize("value", [1.9, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        _pdm_blob_with_qubits,
+        _matrix_blob_with_factor,
+        _channel_blob_with_dim("dim_in"),
+        _channel_blob_with_dim("dim_out"),
+    ],
+    ids=["pdm-qubits", "matrix-factor", "channel-dim-in", "channel-dim-out"],
+)
+def test_json_loaders_reject_a_count_that_is_not_an_int(make, value):
+    loader, blob = make(value)
+    with pytest.raises(ValueError, match="is not an integer"):
+        loader(blob)
+
+
+def test_pdm_file_with_a_fractional_slot_is_an_input_error(tmp_path, capsys):
+    _, blob = _pdm_blob_with_qubits(1.9)
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps(blob))
+    code, out, err = run(["infer", "classify", "--in", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "slot qubits 1.9 is not an integer" in err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -8,6 +8,8 @@ from pdmcausal import harness
 from pdmcausal.inference import Thresholds
 from pdmcausal.linalg import NumericalInconsistencyError, max_abs_diff
 
+from oracles import reference_sweep_rows
+
 
 def test_measure_prepare_rows():
     rows = harness.run_measure_prepare()
@@ -96,6 +98,23 @@ def test_self_check_failure_raises():
     strict = Thresholds(eps_neg=10.0)
     with pytest.raises(NumericalInconsistencyError):
         harness.run_measure_prepare([0.5], thresholds=strict)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("scenario", ["fig3", "fig4"])
+def test_sweep_rows_equal_the_per_pdm_reference(scenario, seed, n):
+    thetas = (0, 45, 90)
+    rows, _ = harness.run_haar_sweep(scenario, n=n, seed=seed, thetas_deg=thetas)
+    expected = reference_sweep_rows(scenario, n, seed, thetas)
+    assert rows == expected
+    # == on floats would let -0.0 pass for 0.0; the CSV must not change either
+    assert harness.rows_to_csv(rows) == harness.rows_to_csv(expected)
+
+
+def test_fig4_needs_an_angle():
+    with pytest.raises(ValueError, match="angle"):
+        harness.run_haar_sweep("fig4", n=1, seed=1, thetas_deg=())
 
 
 def test_haar_sweep_needs_a_seed():

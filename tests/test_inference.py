@@ -37,7 +37,7 @@ from pdmcausal.pauli import SIGMA
 from pdmcausal.pdm import PDM, Slot, marginal_state, pdm_closed_form, reduce, time_reverse
 from pdmcausal.rng import generator
 
-from oracles import check_not_cp_certificate, grid_oracle_objective
+from oracles import check_not_cp_certificate, grid_oracle_objective, unstacked_extraction
 
 
 def full_rank_state(dim, rng):
@@ -154,6 +154,70 @@ def test_extract_inconsistent_pdm_rejected():
     pdm = PDM(ComplexMatrix(bad, (2, 2)), r.slots)
     with pytest.raises(NumericalInconsistencyError):
         extract_choi(pdm)
+
+
+@st.composite
+def extraction_sequences(draw):
+    """One to three two-slot PDMs with equal one- or two-qubit slots; each
+    first state is full rank or rank deficient, each channel random or
+    semicausal, and some PDMs are time-reversed."""
+    qubits = draw(st.integers(1, 2))
+    dim = 2**qubits
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    pdms = []
+    for _ in range(draw(st.integers(1, 3))):
+        rank = draw(st.integers(1, dim))
+        rho = random_state(dim, rng, rank=rank, factors=(2,) * qubits)
+        if qubits == 2 and draw(st.booleans()):
+            ch = random_semicausal(2, 2, 2, rng)
+        else:
+            ch = random_channel(dim, rng)
+        r = pdm_closed_form(rho, ch)
+        pdms.append(time_reverse(r) if draw(st.booleans()) else r)
+    return pdms
+
+
+def _extraction_bits(res):
+    return res.choi.data.tobytes(), res.residual, res.unique, res.min_eig_transposed
+
+
+@settings(max_examples=40, deadline=None)
+@given(extraction_sequences())
+def test_extracting_a_sequence_equals_extracting_each_pdm(pdms):
+    stacked = extract_choi(pdms)
+    assert isinstance(stacked, tuple) and len(stacked) == len(pdms)
+    for r, res in zip(pdms, stacked):
+        alone = extract_choi(r)
+        assert _extraction_bits(res) == _extraction_bits(alone)
+        m, residual, unique, min_eig = unstacked_extraction(r, Thresholds())
+        assert (m.tobytes(), residual, unique, min_eig) == _extraction_bits(alone)
+
+
+def test_sequence_with_one_inconsistent_pdm_is_rejected():
+    rho = QuantumState.from_ket([1, 0])
+    depol = QuantumChannel.from_kraus([s / 2 for s in SIGMA])
+    r = pdm_closed_form(rho, depol)
+    bad = PDM(ComplexMatrix(r.mat.data + 0.01 * np.kron(np.diag([0.0, 1.0]), SIGMA[1]), (2, 2)), r.slots)
+    good = pdm_closed_form(QuantumState.maximally_mixed(2), depol)
+    for seq in ([good, bad], [bad, good], [good, good, bad]):
+        with pytest.raises(NumericalInconsistencyError, match="residual"):
+            extract_choi(seq)
+    assert len(extract_choi([good, r])) == 2
+
+
+def test_sequence_needs_equal_two_slot_pdms():
+    rng = generator(3)
+    one = pdm_closed_form(random_state(2, rng), random_channel(2, rng))
+    two = pdm_closed_form(random_state(4, rng, factors=(2, 2)), random_channel(4, rng))
+    with pytest.raises(ValueError, match="equal slot sizes"):
+        extract_choi([one, two])
+    with pytest.raises(ValueError, match="equal slot sizes"):
+        extract_choi([two, one])
+    with pytest.raises(ValueError, match="at least one"):
+        extract_choi([])
+    three = reduce(two, [(0, (0,)), (1, (1,))])
+    with pytest.raises(ValueError, match="exactly two slots"):
+        extract_choi([three, reduce(two, [0])])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pdmcausal.channels import (
 from pdmcausal.linalg import ComplexMatrix, max_abs_diff, swap_operator
 from pdmcausal.pauli import SIGMA, pauli_basis
 from pdmcausal.pdm import (
+    _validate,
     MAX_SLOT_QUBITS,
     PDM,
     Slot,
@@ -276,6 +277,52 @@ def test_pdm_validation():
         PDM(ComplexMatrix(np.eye(4) / 2, (2, 2)), (Slot("t1", 1), Slot("t2", 1)))
     with pytest.raises(ValueError):  # per-qubit factor structure required
         PDM(ComplexMatrix(np.eye(4) / 4, (4,)), (Slot("t1", 2),))
+
+
+SLOTS_1_1 = (Slot("t1", 1), Slot("t2", 1))
+
+
+def _spoiled(kind):
+    """A valid two-slot one-qubit PDM matrix and one failing one PDM check."""
+    good = pdm_closed_form(random_state(2, 7), random_channel(2, 8)).mat.data
+    if kind == "hermitian":
+        bad = good.copy()
+        bad[0, 1] += 1e-3
+    elif kind == "trace":
+        bad = 1.5 * good
+    else:  # unit trace, first-slot reduction diag(1.2, -0.2)
+        bad = np.kron(np.diag([1.2, -0.2]), np.eye(2) / 2).astype(complex)
+    return good, bad
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "trace", "marginal"])
+def test_stack_validation_fails_on_its_second_matrix_as_the_pdm_does(kind):
+    good, bad = _spoiled(kind)
+    with pytest.raises(ValueError) as alone:
+        PDM(ComplexMatrix(bad, (2, 2)), SLOTS_1_1)
+    with pytest.raises(ValueError) as stacked:
+        _validate(np.stack([good, bad]), SLOTS_1_1)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stack_validation_returns_the_marginals_of_each_matrix():
+    good, _ = _spoiled("trace")
+    other = pdm_closed_form(random_state(2, 9), random_channel(2, 10)).mat.data
+    marginals = _validate(np.stack([other, good]), SLOTS_1_1)
+    alone = PDM(ComplexMatrix(good, (2, 2)), SLOTS_1_1)._marginals
+    for (m, w), (m1, w1) in zip(marginals, alone):
+        assert m.shape == (2, 2, 2) and w.shape == (2, 2)
+        assert m[1].tobytes() == m1.tobytes() and w[1].tobytes() == w1.tobytes()
+
+
+def test_stack_validation_scales_each_matrix_by_its_own_entries():
+    good, _ = _spoiled("trace")
+    small = good.copy()
+    small[0, 1] += 1e-9  # above 1e-10 of entries of order 1, below 1e-10 of 10x them
+    with pytest.raises(ValueError, match="not Hermitian"):
+        PDM(ComplexMatrix(small, (2, 2)), SLOTS_1_1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _validate(np.stack([100.0 * good, small]), SLOTS_1_1)
 
 
 @pytest.mark.parametrize("counts", [(0, 2), (-1, 3)], ids=["zero", "negative"])
