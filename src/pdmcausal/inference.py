@@ -11,12 +11,11 @@ direction of each sample.  In the eigenbasis of rho the system solves entry by
 entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
 J nor a pseudo-inverse.  ``classify`` works there on the input-transposed
 family, whose eigenvalues are the CP witness: it reads the unique member off
-it directly and, for a rank-deficient marginal, hands the family to a small
-splitting solver that searches the free block for a completely positive
-member, projecting onto the trace-preserving members in closed form.  Asked
-only to decide, the solver stops at the first proof either way: a member
-whose input transpose is PSD within eps_pos, or a dual (Farkas) certificate
-that bounds every member's smallest eigenvalue below -eps_pos.
+it directly and, for a rank-deficient marginal, decides by a Schur complement
+whether some member is CP within eps_pos: a member proves a yes and a dual
+(Farkas) certificate a no, both in closed form.  ``sdp_least_negative``
+searches the free block for the least-negative member with a small splitting
+solver, projecting onto the trace-preserving members in closed form.
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -103,11 +102,10 @@ class ExtractionResult:
 
     ``route`` says how ``classify`` obtained the evidence: ``unique`` (the
     one member of a full-rank family), ``certified_cp`` (a member whose
-    witness is at least -eps_pos), ``certified_not_cp`` (a dual certificate,
-    kept in ``certificate``: then ``min_eig_transposed`` is its bound, which
-    every member's witness lies at or below) or ``stalled`` (the solver's
-    best member when it stopped without a proof).  ``extract_choi`` leaves
-    it None.
+    witness is at least -eps_pos) or ``certified_not_cp`` (a dual
+    certificate, kept in ``certificate``: then ``min_eig_transposed`` is its
+    bound, which every member's witness lies at or below).  ``extract_choi``
+    and the run to the optimum leave it None.
     """
 
     choi: ComplexMatrix
@@ -210,10 +208,6 @@ def extract_reverse_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> Ext
 # ---------------------------------------------------------------------------
 # Least-negative completion (small dense SDP via operator splitting)
 # ---------------------------------------------------------------------------
-
-def _trace_out(x: np.ndarray, din: int, dout: int) -> np.ndarray:
-    return np.trace(x.reshape(din, dout, din, dout), axis1=1, axis2=3)
-
 
 def _neg_part_trace(w: np.ndarray) -> float:
     """Trace of the negative part of a Hermitian matrix with eigenvalues ``w``."""
@@ -341,32 +335,54 @@ class _Anderson:
         return step.view(np.complex128).reshape(shape)
 
 
-def _dual_bound(weights, vecs, x0, k: int, dout: int):
-    """Farkas certificate that bounds the CP witness of every family member.
+def _schur_decision(basis: _Eigenbasis, t: float, rank_tol: float):
+    """Decide whether some member T(N) of ``basis``'s family has T(N) >= t I.
 
-    Members and W live in the input-transposed frame.  W = vecs
-    diag(weights) vecs^H with weights >= 0 is PSD; the loop passes the dual
-    of its prox step, min(max(-w, 0), t) on the eigenpairs of the prox
-    argument, which tends to an optimal dual.  V is the part of the free
-    block of W not of the form A tensor I, and W' = W - V + |V|_F I is PSD
-    too.  The free block of W' is then of the form A' tensor I, orthogonal
-    to every direction that keeps a member trace preserving (the input
-    transpose maps A tensor I to A^T tensor I), so c = <W', T(N)> is the same
-    for every member T(N), here x0, whose free block I tensor I / dout makes
-    <V, x0> = Tr V / dout = 0.  As <W', T(N)> >= lambda_min(T(N)) Tr W',
-    every member has lambda_min(T(N)) <= c / Tr W', the bound returned with
-    W'.  Tr W' is sum(weights) plus dim |V|_F, since Tr V = 0.
+    Members are [[A, B], [B^H, C]] with B, C fixed and Tr_out A = I_k.  P is
+    the pseudo-inverse of C - tI that cuts its kernel K (eigenvalues at most
+    rank_tol) and Q = (1 - t dout) I - Tr_out(B P B^H).  A yes is (True, the
+    member A = tI + B P B^H + Q tensor I / dout, None): the Schur complement
+    of C - tI in it is PSD (Boyd & Vandenberghe, App. A.5.5).  A no is
+    (False, W, bound), W = sum_o z_o z_o^H with free block M tensor I, so
+    c = <W, T(N)> is one value on the family and bound = c / Tr W < t caps
+    every witness.  No when C has an eigenvalue below t (z its eigenvector);
+    when B reaches K: z_o = [a y_o; -P_K B^H y_o], y_o = u tensor e_o, u the
+    top eigenvector of Tr_out(B P_K B^H); or when Q is not PSD: z_o = [y_o;
+    -P B^H y_o], u the eigenvector of Q's least eigenvalue, u^H Q u, which is
+    <W, T(N) - tI>.  The bound is t plus this negative excess over Tr W.
     """
+    k, dout, fixed = basis.k, basis.dout, basis.fixed
     kd = k * dout
-    dual = (vecs * weights) @ vecs.conj().T
-    block = dual[:kd, :kd]
-    v = block - _kron_eye(_trace_out(block, k, dout), dout) / dout
-    v_norm = float(np.linalg.norm(v))
-    c = np.vdot(dual, x0).real + v_norm * np.trace(x0).real
-    bound = c / (weights.sum() + dual.shape[0] * v_norm)
-    dual[:kd, :kd] -= v
-    dual.flat[:: dual.shape[0] + 1] += v_norm
-    return bound, dual
+    lam, v = np.linalg.eigh(fixed[kd:, kd:])
+    shifted = lam - t
+
+    def no(top, bottom, excess):  # excess: <W, T(N) - tI>, negative
+        z = np.vstack([top, -bottom])
+        return False, z @ z.conj().T, float(t + excess / np.vdot(z, z).real)
+
+    if shifted[0] < 0:
+        return no(np.zeros((kd, 1)), v[:, :1], shifted[0])
+    kernel = shifted <= rank_tol
+    g = v.conj().T @ fixed[:kd, kd:].conj().T  # B^H in the eigenbasis of C
+    scale = 1 - t * dout
+    if k and kernel.any():
+        gk = g * kernel[:, None]
+        reach, vecs = np.linalg.eigh(_partial_trace(gk.conj().T @ gk, (k, dout), (0,)))
+        y = _kron_eye(vecs[:, -1:], dout)
+        # <W, T(N) - tI> = a^2 scale - 2 a s + e, least at a = s / scale
+        s, e = reach[-1], np.linalg.norm(np.sqrt(shifted)[:, None] * (gk @ y)) ** 2
+        if s * s > scale * e:
+            return no(y * (s / scale), v @ (gk @ y), e - s * s / scale)
+    pb = v @ (np.divide(1.0, shifted, out=np.zeros_like(shifted), where=~kernel)[:, None] * g)
+    bpb = fixed[:kd, kd:] @ pb
+    q = scale * np.eye(k) - _partial_trace(bpb, (k, dout), (0,))
+    wq, uq = np.linalg.eigh(q)
+    if (wq >= 0).all():
+        member = fixed.copy()
+        member[:kd, :kd] = t * np.eye(kd) + bpb + _kron_eye(q, dout) / dout
+        return True, member, None
+    y = _kron_eye(uq[:, :1], dout)
+    return no(y, pb @ y, wq[0])
 
 
 def sdp_least_negative(
@@ -384,26 +400,22 @@ def sdp_least_negative(
     set with the eigenvalue-clipping prox of the objective; the step is
     Anderson accelerated (``_Anderson``).
 
-    The search runs on the input transpose of the family written in the
-    eigenbasis U = v tensor I of rho = marginal tensor I (``_eigenbasis``).
-    There the family is explicit entry by entry: outside the block of
-    marginal eigenvalues at most rank_tol (tensor out) every entry is fixed;
-    the block is free.  The input transpose maps the block to itself and
-    A tensor I to A^T tensor I, so the projection keeps its form: keep the
-    fixed entries, keep the Hermitian part of the argument inside the block,
-    and shift it by (Tr_out(block) - I) tensor I / dout to restore
-    Tr_out = I.  Conjugation by U turns into conjugation by conj(v) tensor I
-    under the input transpose, so the witness is the iterate's eigenvalues
-    and the prox is a plain eigenvalue clip; the result is rotated back once
-    and its residual measured against the PDM.
+    The search runs on the input transpose of the family in the marginal's
+    eigenbasis (``_eigenbasis``), where every entry outside the free block is
+    fixed.  The input transpose maps the block to itself and A tensor I to
+    A^T tensor I, so the projection keeps the fixed entries and the Hermitian
+    part of the block, shifted by (Tr_out(block) - I) tensor I / dout to
+    restore Tr_out = I; the witness is the iterate's eigenvalues and the prox
+    a plain eigenvalue clip.  The result is rotated back once and its
+    residual measured against the PDM.
 
-    With ``decide`` the loop stops at the first proof of whether some member
-    is CP within eps_pos: an iterate whose witness is at least -eps_pos
-    (route ``certified_cp``), or a dual certificate (``_dual_bound``) whose
-    bound is below -eps_pos (``certified_not_cp``, reporting the bound).  A
-    CP family never yields one, so it is tried only at iterations 1, 2, 4,
-    ...  Without a proof the loop stops where the run to the optimum stops
-    (``stalled``).
+    With ``decide``, ``_schur_decision`` first decides whether a member is CP
+    within eps_pos.  A no returns at once (``certified_not_cp``: the member
+    x0 whose free block is I tensor I / dout, the bound c / Tr W as witness).
+    A yes runs the loop up to the first iterate whose witness is at least
+    -eps_pos (``certified_cp``); if the loop stops first, the Schur member is
+    returned with witness -eps_pos, the bound its Schur complement certifies.
+    The run to the optimum has route None.
     """
     if direction == "reverse":
         pdm = time_reverse(pdm)
@@ -417,31 +429,38 @@ def sdp_least_negative(
     def project(x: np.ndarray) -> np.ndarray:
         block = 0.5 * (x[:kd, :kd] + x[:kd, :kd].conj().T)
         y = fixed.copy()
-        y[:kd, :kd] = block - _kron_eye(_trace_out(block, k, dout) - eye_k, dout) / dout
+        shift = _partial_trace(block, (k, dout), (0,)) - eye_k
+        y[:kd, :kd] = block - _kron_eye(shift, dout) / dout
         return y
 
     x0 = project(np.zeros_like(fixed))
-    floor = float(np.linalg.norm(_trace_out(x0, din, dout) - np.eye(din)))
+    floor = float(np.linalg.norm(_partial_trace(x0, (din, dout), (0,)) - np.eye(din)))
     if floor > RESIDUAL_LIMIT:
         raise NumericalInconsistencyError(
             f"no Hermitian trace-preserving solution reproduces the PDM (floor {floor:.3e})"
         )
+    unique = not _rank_deficient(pdm._marginals[0][1], thresholds).any()
+    t = -thresholds.eps_pos + 0.0  # no -0.0 at eps_pos = 0
+    if decide:
+        cp, decision, bound = _schur_decision(basis, t, thresholds.rank_tol)
+        if not cp:
+            choi, residual, eigs = _in_pdm_basis(pdm, basis, x0)
+            cert = ComplexMatrix._trusted(basis.u.conj() @ decision @ basis.u.T, (din, dout))
+            objective = _neg_part_trace(eigs)
+            return ExtractionResult(
+                choi, residual, unique, bound, objective, 0, True, "certified_not_cp", cert
+            )
 
     accel = _Anderson(SDP_ANDERSON_MEMORY, fixed.shape)
     z = x0
-    y_prev = None
-    obj_prev = np.inf
-    best_obj = np.inf
-    best = x0
-    converged = False
-    route = "stalled"
-    next_check = 1
-    iterations = 0
-    stall = 0
+    y_prev, obj_prev = None, np.inf
+    best, best_obj = x0, np.inf
+    converged, route = False, None
+    iterations = stall = 0
     for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
         eigs = np.linalg.eigvalsh(y)
-        if decide and eigs[0] >= -thresholds.eps_pos:
+        if decide and eigs[0] >= t:
             route = "certified_cp"
             break
         obj = _neg_part_trace(eigs)
@@ -466,38 +485,19 @@ def sdp_least_negative(
         w, v = np.linalg.eigh(2.0 * y - z)
         weights = np.clip(-w, 0.0, SDP_STEP)
         x = (v * (w + weights)) @ v.conj().T
-        if decide and iterations == next_check:
-            next_check *= 2
-            bound, certificate = _dual_bound(weights, v, x0, k, dout)
-            if bound < -thresholds.eps_pos:
-                route = "certified_not_cp"
-                break
         z = accel.step(z, x - y)
 
-    if route == "stalled":
-        member = best
+    if route:
+        member, converged, min_eig = y, True, float(eigs[0])
+    elif decide:  # stopped before a certified iterate: the Schur member
+        member, converged, min_eig, route = decision, True, t, "certified_cp"
     else:
-        member, converged = y, True
+        member, min_eig = best, None
     choi, residual, member_eigs = _in_pdm_basis(pdm, basis, project(member))
-    if route == "certified_not_cp":
-        ubar = basis.u.conj()
-        certificate = ComplexMatrix._trusted(ubar @ certificate @ ubar.conj().T, (din, dout))
-        min_eig = bound
-    else:
-        certificate = None
-        # a certified member reports the witness its certificate checked
-        min_eig = float(eigs[0] if route == "certified_cp" else member_eigs.min())
-    unique = not _rank_deficient(pdm._marginals[0][1], thresholds).any()
+    if min_eig is None:
+        min_eig = float(member_eigs.min())
     return ExtractionResult(
-        choi,
-        residual,
-        unique,
-        min_eig,
-        _neg_part_trace(member_eigs),
-        iterations,
-        converged,
-        route,
-        certificate,
+        choi, residual, unique, min_eig, _neg_part_trace(member_eigs), iterations, converged, route
     )
 
 
@@ -509,10 +509,10 @@ def sdp_least_negative(
 class CausalVerdict:
     """Compatibility subset of the five causal structures plus the evidence.
 
-    Per direction: ``min_eig_*`` is the CP witness the decision used (see
-    ``ExtractionResult.route`` for what it is on each route), ``route_*``
-    the route and ``residual_*`` the defect of the reported member against
-    the PDM.
+    Per direction: ``route_*`` is ``unique``, ``certified_cp`` or
+    ``certified_not_cp``, ``min_eig_*`` the CP witness (a plain float; see
+    ``ExtractionResult.route`` for what it is on each route) and
+    ``residual_*`` the defect of the reported member against the PDM.
     """
 
     compatible: frozenset

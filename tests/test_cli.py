@@ -9,10 +9,13 @@ from pdmcausal.channels import (
     channel_from_json,
     choi_of,
     measure_prepare_z,
+    random_semicausal,
+    random_state,
 )
 from pdmcausal.cli import main
 from pdmcausal.linalg import ComplexMatrix, matrix_from_json, matrix_to_json
 from pdmcausal.pdm import pdm_closed_form, pdm_from_json, pdm_to_json
+from pdmcausal.rng import generator
 
 
 def run(argv, capsys):
@@ -95,6 +98,23 @@ def test_classify_verdict(tmp_path, capsys):
     verdict = json.loads(text)
     assert verdict["compatible"] == [1]
     assert verdict["compatible_reversed"] == [2]
+
+
+def test_classify_tiny_eps_pos_keeps_the_generating_cause(tmp_path, capsys):
+    # rank-1 first state through a semicausal channel: the forward family is
+    # decided CP in closed form, however small --eps-pos is
+    rng = generator(32)
+    r = pdm_closed_form(
+        random_state(4, rng, rank=1, factors=(2, 2)), random_semicausal(2, 2, 2, rng)
+    )
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps(pdm_to_json(r)))
+    code, text, err = run(["infer", "classify", "--in", str(path), "--eps-pos", "1e-12"], capsys)
+    assert code == 0, err
+    verdict = json.loads(text)
+    assert verdict["compatible"] == [1]
+    assert (verdict["route_forward"], verdict["route_reverse"]) == ("certified_cp", "certified_not_cp")
+    assert verdict["thresholds"]["eps_pos"] == 1e-12
 
 
 def test_classify_rank_tol_flag(tmp_path, capsys):

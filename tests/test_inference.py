@@ -433,6 +433,94 @@ def test_sdp_input_transposes_do_not_grow_with_its_iterations(monkeypatch):
     assert long_calls == short_calls
 
 
+def rank_one_semicausal_pdm():
+    rng = generator(32)
+    return pdm_closed_form(
+        random_state(4, rng, rank=1, factors=(2, 2)), random_semicausal(2, 2, 2, rng)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(rank_deficient_two_qubit_slots(), st.sampled_from([1e-10, 1e-12]), st.integers(0, 2**32 - 1))
+def test_classify_certifies_the_generating_direction_at_small_eps_pos(r, eps_pos, seed):
+    # the forward family holds the generating channel: its Schur complement
+    # is PSD however small eps_pos is, so no search can drop that cause
+    th = Thresholds(eps_pos=eps_pos)
+    verdict = classify(r, th)
+    assert verdict.route_forward == "certified_cp"
+    assert verdict.route_reverse in ("unique", "certified_cp", "certified_not_cp")
+    assert verdict.min_eig_forward >= -eps_pos
+    if verdict.f > th.eps_neg:
+        assert CausalStructure.A_TO_B in verdict.compatible
+    if verdict.route_reverse == "certified_not_cp":
+        rev = sdp_least_negative(r, "reverse", th, decide=True)
+        check_not_cp_certificate(time_reverse(r), rev, th, seed)
+
+
+def test_classify_keeps_the_cause_of_a_rank_one_semicausal_pdm_at_tiny_eps_pos():
+    verdict = classify(rank_one_semicausal_pdm(), Thresholds(eps_pos=1e-12))
+    assert (verdict.route_forward, verdict.route_reverse) == ("certified_cp", "certified_not_cp")
+    assert verdict.compatible == {CausalStructure.A_TO_B}
+
+
+def test_sdp_run_to_the_optimum_has_no_route():
+    res = sdp_least_negative(rank_one_semicausal_pdm(), "forward")
+    assert res.route is None and res.certificate is None
+    assert res.converged and res.iterations > 1
+
+
+def test_sdp_decision_falls_back_to_the_schur_member(monkeypatch):
+    # a search stopped before a certified iterate reports the closed-form
+    # member, whose Schur complement certifies witness -eps_pos
+    monkeypatch.setattr(inference, "SDP_MAX_ITERATIONS", 1)
+    th = Thresholds(eps_pos=1e-12)
+    res = sdp_least_negative(rank_one_semicausal_pdm(), "forward", th, decide=True)
+    assert res.route == "certified_cp" and res.iterations == 1
+    assert res.min_eig_transposed == -1e-12
+    assert max_abs_diff(partial_trace(res.choi, {0}).data, np.eye(4)) <= 1e-7
+    assert res.residual <= 1e-7
+    witness = np.linalg.eigvalsh(input_transpose(res.choi).data).min()
+    assert witness >= -1e-12 - 1e-12
+
+
+def _boundary_pdms():
+    zero, plus = QuantumState.from_ket([1, 0]), QuantumState.from_ket([1, 1])
+    return {
+        "zero-measure_prepare_z": (pdm_closed_form(zero, measure_prepare_z()), [1, 2, 3, 4, 5]),
+        "zero-identity": (pdm_closed_form(zero, QuantumChannel.identity(2)), [1, 2]),
+        "plus-measure_prepare_z": (pdm_closed_form(plus, measure_prepare_z()), [1]),
+    }
+
+
+@pytest.mark.parametrize("eps_pos", [0.0, 1e-12, 1e-8])
+@pytest.mark.parametrize("case", sorted(_boundary_pdms()))
+def test_classify_boundary_families_at_any_eps_pos(case, eps_pos):
+    # C, the fixed block of these families, is singular; at eps_pos = 0 a
+    # member on the boundary is decided by rounding
+    r, expected = _boundary_pdms()[case]
+    verdict = classify(r, Thresholds(eps_pos=eps_pos))
+    assert sorted(int(c) for c in verdict.compatible) == expected
+
+
+@pytest.mark.parametrize("eps_pos", [0.0, 1e-12, 1e-8])
+def test_classify_certifies_b_reaching_the_kernel_of_c(eps_pos):
+    # R = [[|0><0|, X/2], [X/2, 0]] with X = |0><1|: in both directions B has
+    # weight on the output the fixed block C = |0><0| leaves empty, so no
+    # member is CP; while eps_pos <= rank_tol only the kernel condition of
+    # C + eps_pos I shows it
+    data = np.zeros((4, 4), dtype=complex)
+    data[0, 0], data[0, 3], data[3, 0] = 1.0, 0.5, 0.5
+    r = PDM(ComplexMatrix(data, (2, 2)), (Slot("t1", 1), Slot("t2", 1)))
+    th = Thresholds(eps_pos=eps_pos)
+    verdict = classify(r, th)
+    assert (verdict.route_forward, verdict.route_reverse) == ("certified_not_cp",) * 2
+    assert sorted(int(c) for c in verdict.compatible) == [4, 5]
+    for direction, oriented in (("forward", r), ("reverse", time_reverse(r))):
+        res = sdp_least_negative(r, direction, th, decide=True)
+        check_not_cp_certificate(oriented, res, th)
+        assert res.iterations == 0
+
+
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -674,6 +762,15 @@ def test_verdict_json_schema():
     assert blob["route_forward"] == blob["route_reverse"] == "unique"
     assert 0 <= blob["residual_forward"] <= 1e-12
     assert blob["thresholds"]["eps_neg"] == 1e-8
+    # both certified routes: every number is a built-in float
+    certified = classify(rank_one_semicausal_pdm()).to_json()
+    assert (certified["route_forward"], certified["route_reverse"]) == (
+        "certified_cp",
+        "certified_not_cp",
+    )
+    for verdict in (blob, certified):
+        for key in ("f", "min_eig_forward", "min_eig_reverse", "residual_forward", "residual_reverse"):
+            assert type(verdict[key]) is float, key
 
 
 def test_classify_requires_two_slots():
