@@ -50,15 +50,7 @@ class QuantumState:
     mat: ComplexMatrix
 
     def __post_init__(self):
-        a = self.mat.data
-        if not is_hermitian(a):
-            raise ValueError("state is not Hermitian")
-        tr = np.trace(a).real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"state trace {tr} != 1")
-        w = np.linalg.eigvalsh(a)
-        if w.min() < -STATE_EIG_ATOL:
-            raise ValueError(f"state has negative eigenvalue {w.min():.3e}")
+        _check_states(self.mat.data[None])
 
     @classmethod
     def _trusted(cls, mat: ComplexMatrix) -> "QuantumState":
@@ -78,22 +70,63 @@ class QuantumState:
     @classmethod
     def from_ket(cls, amplitudes, factors: Sequence[int] | None = None) -> "QuantumState":
         v = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(ComplexMatrix(np.outer(v, v.conj()), factors))
+        return cls(ComplexMatrix(_pure_states([v])[0], factors))
 
     @classmethod
     def maximally_mixed(cls, dim: int, factors: Sequence[int] | None = None) -> "QuantumState":
         return cls(ComplexMatrix(np.eye(dim) / dim, factors))
 
 
+def _check_states(a: np.ndarray):
+    """``QuantumState``'s checks on an (s, d, d) stack: each matrix must be
+    Hermitian, have unit trace and no eigenvalue below ``-STATE_EIG_ATOL``;
+    the first failure raises ValueError."""
+    if not is_hermitian(a):
+        raise ValueError("state is not Hermitian")
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0)
+    if off.max() > TRACE_ATOL:
+        raise ValueError(f"state trace {tr[(off > TRACE_ATOL).argmax()]} != 1")
+    lowest = np.linalg.eigvalsh(a)[..., 0]
+    if lowest.min() < -STATE_EIG_ATOL:
+        first = lowest[(lowest < -STATE_EIG_ATOL).argmax()]
+        raise ValueError(f"state has negative eigenvalue {first:.3e}")
+
+
+def _pure_states(kets: Sequence[np.ndarray]) -> np.ndarray:
+    """The (s, d, d) stack of |v><v| for each ket v scaled to unit norm.
+
+    Each ket is scaled by its own ``np.linalg.norm``: one norm over a
+    stacked axis rounds differently.
+    """
+    v = np.stack([k / np.linalg.norm(k) for k in kets])
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 # ---------------------------------------------------------------------------
 # Channels
 # ---------------------------------------------------------------------------
 
-def _kraus_to_choi(kraus: Sequence[np.ndarray], dim_in: int, dim_out: int) -> ComplexMatrix:
+def _kraus_to_choi(kraus, dim_in: int, dim_out: int) -> np.ndarray:
+    """Choi matrices of Kraus sets given as an (..., k, dim_out, dim_in) stack."""
     ks = np.asarray(kraus, dtype=np.complex128)
-    m = np.einsum("kai,kbj->jaib", ks, ks.conj()).reshape(dim_in * dim_out, dim_in * dim_out)
-    return ComplexMatrix._trusted(m, (dim_in, dim_out))
+    d = dim_in * dim_out
+    return np.einsum("...kai,...kbj->...jaib", ks, ks.conj()).reshape(ks.shape[:-3] + (d, d))
+
+
+def _check_trace_preserving(kraus: np.ndarray):
+    """Raise ValueError unless each Kraus set of an (..., k, d_out, d_in)
+    stack sums to the identity to ``CHANNEL_ATOL``."""
+    total = (kraus.conj().swapaxes(-2, -1) @ kraus).sum(axis=-3)
+    if np.abs(total - np.eye(kraus.shape[-1])).max() > CHANNEL_ATOL:
+        raise ValueError("Kraus operators are not trace preserving")
+
+
+def _check_unitary(u: np.ndarray):
+    """Raise ValueError unless each matrix of an (..., d, d) stack is unitary
+    to ``CHANNEL_ATOL``."""
+    if np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(u.shape[-2])).max() > CHANNEL_ATOL:
+        raise ValueError("matrix is not unitary")
 
 
 def _choi_to_kraus(choi: ComplexMatrix) -> tuple[np.ndarray, ...]:
@@ -124,19 +157,15 @@ class QuantumChannel:
         dim_out, dim_in = ops[0].shape
         if any(k.shape != (dim_out, dim_in) for k in ops):
             raise ValueError("Kraus operators must share one shape")
-        total = sum(k.conj().T @ k for k in ops)
-        if np.abs(total - np.eye(dim_in)).max() > CHANNEL_ATOL:
-            raise ValueError("Kraus operators are not trace preserving")
+        _check_trace_preserving(np.stack(ops))
         return cls("kraus", dim_in, dim_out, ops)
 
     @classmethod
     def from_unitary(cls, u) -> "QuantumChannel":
         """Unitary conjugation, stored as a one-operator Kraus channel."""
         a = _as_array(u)
-        d = a.shape[0]
-        if np.abs(a.conj().T @ a - np.eye(d)).max() > CHANNEL_ATOL:
-            raise ValueError("matrix is not unitary")
-        return cls("kraus", d, d, (a,))
+        _check_unitary(a)
+        return cls("kraus", a.shape[0], a.shape[0], (a,))
 
     @classmethod
     def from_choi(cls, choi: ComplexMatrix) -> "QuantumChannel":
@@ -170,7 +199,8 @@ class QuantumChannel:
     def choi(self) -> ComplexMatrix:
         if self.rep == "choi":
             return self.payload[0]
-        return _kraus_to_choi(self.kraus_operators, self.dim_in, self.dim_out)
+        m = _kraus_to_choi(self.kraus_operators, self.dim_in, self.dim_out)
+        return ComplexMatrix._trusted(m, (self.dim_in, self.dim_out))
 
     def __repr__(self) -> str:
         return f"QuantumChannel(rep={self.rep!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"
@@ -207,31 +237,49 @@ def semicausal(
     By construction the second party cannot signal the first: the first
     party's output marginal depends only on its own input.
     """
-    dim_c = rho_c.dim
-    if n_ac.dim_in != n_ac.dim_out or m_bc.dim_in != m_bc.dim_out:
+    if m_bc.dim_in != m_bc.dim_out:
         raise ValueError("component channels must preserve dimension")
-    if n_ac.dim_in % dim_c or m_bc.dim_in % dim_c:
+    assemble = _semicausal_assembly(n_ac, rho_c, m_bc.dim_in)
+    return QuantumChannel.from_kraus(assemble(np.asarray(m_bc.kraus_operators)))
+
+
+def _semicausal_assembly(n_ac: QuantumChannel, rho_c: QuantumState, dim_bc: int):
+    """``semicausal``'s Kraus assembly with N_AC and rho_C fixed.
+
+    The first party's Kraus operators are embedded and the ancilla is
+    diagonalised here, once.  Returns the function from the second party's
+    Kraus sets, an (..., k, dim_bc, dim_bc) stack, to the composed
+    channels' Kraus sets, an (..., k', d_ab, d_ab) stack.
+    """
+    dim_c = rho_c.dim
+    if n_ac.dim_in != n_ac.dim_out:
+        raise ValueError("component channels must preserve dimension")
+    if n_ac.dim_in % dim_c or dim_bc % dim_c:
         raise ValueError("component dimensions are not divisible by the ancilla dimension")
     dim_a = n_ac.dim_in // dim_c
-    dim_b = m_bc.dim_in // dim_c
+    dim_b = dim_bc // dim_c
     factors = (dim_a, dim_b, dim_c)
-
     n_ops = [_embed_operator(k, factors, (0, 2)) for k in n_ac.kraus_operators]
-    m_ops = [_embed_operator(k, factors, (1, 2)) for k in m_bc.kraus_operators]
-
     w, v = np.linalg.eigh(rho_c.mat.data)
-    kraus = []
-    for p, phi in zip(w, v.T):
-        if p <= KRAUS_KEEP_EPS:
-            continue
-        # I_AB tensor |phi>: append the ancilla in the state phi
-        inject = _eye_kron(dim_a * dim_b, phi.reshape(dim_c, 1)) * np.sqrt(p)
-        for m_op in m_ops:
-            for n_op in n_ops:
-                stage = m_op @ n_op @ inject
-                # I_AB tensor <e|: the rows of stage with ancilla index e
-                kraus.extend(stage[e::dim_c] for e in range(dim_c))
-    return QuantumChannel.from_kraus(kraus)
+    # I_AB tensor sqrt(p)|phi>: append the ancilla in the state phi
+    injects = [
+        _eye_kron(dim_a * dim_b, phi.reshape(dim_c, 1)) * np.sqrt(p)
+        for p, phi in zip(w, v.T)
+        if p > KRAUS_KEEP_EPS
+    ]
+
+    def assemble(m_kraus: np.ndarray) -> np.ndarray:
+        m_ops = _embed_operator(m_kraus, factors, (1, 2))
+        kraus = []
+        for inject in injects:
+            for j in range(m_ops.shape[-3]):
+                for n_op in n_ops:
+                    stage = m_ops[..., j, :, :] @ n_op @ inject
+                    # I_AB tensor <e|: the rows of stage with ancilla index e
+                    kraus.extend(stage[..., e::dim_c, :] for e in range(dim_c))
+        return np.stack(kraus, axis=-3)
+
+    return assemble
 
 
 def partial_swap(theta: float) -> QuantumChannel:
@@ -262,18 +310,29 @@ def haar_unitary(d: int, seed_or_rng) -> ComplexMatrix:
     Ginibre matrix + QR, with the R diagonal's phases absorbed so the
     distribution is exactly Haar.
     """
-    rng = generator(seed_or_rng)
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    return ComplexMatrix(_haar_unitaries(_ginibre(d, generator(seed_or_rng))))
+
+
+def _ginibre(d: int, rng: np.random.Generator) -> np.ndarray:
+    """One d x d Ginibre draw: i.i.d. standard complex normal entries."""
+    return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """``haar_unitary`` of each Ginibre draw in an (..., d, d) stack."""
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return ComplexMatrix(q * phases)
+    return q * phases[..., None, :]
+
+
+def _gaussian_ket(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One unnormalised ket with i.i.d. complex normal amplitudes."""
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def random_pure_state(dim: int, seed_or_rng, factors=None) -> QuantumState:
-    rng = generator(seed_or_rng)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return QuantumState.from_ket(v, factors)
+    return QuantumState.from_ket(_gaussian_ket(dim, generator(seed_or_rng)), factors)
 
 
 def random_state(dim: int, seed_or_rng, rank: int | None = None, factors=None) -> QuantumState:

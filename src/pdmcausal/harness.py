@@ -3,10 +3,12 @@
 Every reproduction scenario asserts its own expected outcomes and raises
 NumericalInconsistencyError on mismatch, so a clean exit certifies the run.
 Sweeps derive one Philox stream per sample as ``seed ^ index``, making the
-output a deterministic function of (scenario, parameters, seed).  Each
-sweep sample runs its PDMs as one stack: one build, one validation, one
-reduction, and one ``extract_choi`` call per direction; the rows equal
-those of building and extracting each PDM alone, bit for bit.
+output a deterministic function of (scenario, parameters, seed).  Only the
+draws run per sample: a sweep runs its samples in chunks of ``SWEEP_CHUNK``,
+and each chunk makes one channel or state build, one PDM build, one
+validation, one reduction and one ``extract_choi`` call per direction on
+stacks over its samples.  The rows equal those of building and extracting
+each PDM alone, bit for bit, at any chunk size.
 """
 
 from __future__ import annotations
@@ -19,13 +21,19 @@ import math
 import numpy as np
 
 from .channels import (
-    QuantumChannel,
     QuantumState,
+    _check_states,
+    _check_trace_preserving,
+    _check_unitary,
+    _gaussian_ket,
+    _ginibre,
+    _haar_unitaries,
+    _kraus_to_choi,
+    _pure_states,
+    _semicausal_assembly,
     choi_of,
-    haar_unitary,
     measure_prepare_z,
     partial_swap,
-    random_pure_state,
     semicausal,
     swap_channel,
 )
@@ -58,6 +66,8 @@ SWEEP_NEG_THRESHOLD = 1e-6  # looser than classification, absorbs eigensolver no
 # first slot and the second qubit of the second
 FULL_SLOTS = (Slot("t1", 2), Slot("t2", 2))
 REDUCED_SLOTS = (Slot("t1", 1), Slot("t2", 1))
+# samples per stacked chunk of a sweep; see run_haar_sweep
+SWEEP_CHUNK = 16
 
 
 def _check(condition: bool, message: str):
@@ -197,29 +207,32 @@ def run_swap_influence(thetas_deg=DEFAULT_THETAS_DEG):
 # Monte-Carlo sweeps
 # ---------------------------------------------------------------------------
 
-def _sample_rows(full: np.ndarray, sample_id: int, group_key: str, groups) -> list[dict]:
-    """Rows of one sample from its stack of two-slot PDMs, one per group
-    (input or angle).
+def _chunk_rows(full: np.ndarray, sample_ids, group_key: str, groups) -> list[dict]:
+    """Rows of a chunk of samples from its (samples, groups, 16, 16) stack of
+    two-slot PDMs, sample by sample and within a sample one per group (input
+    or angle).
 
     The stack is validated once and reduced to the first qubit of the first
     slot and the second of the second; the reduced PDMs are extracted
     forward as one stack and time-reversed as another.
     """
+    full = full.reshape(-1, 16, 16)
     _validate(full, FULL_SLOTS)
     reduced = _partial_trace(full, (2,) * 4, (0, 3))
     f = _negativity(reduced)
     fwd = extract_choi([PDM._trusted(r, REDUCED_SLOTS) for r in reduced])
     flipped = _permute_factors(reduced, (2, 2), (1, 0))
     rev = extract_choi([PDM._trusted(r, REDUCED_SLOTS[::-1]) for r in flipped])
+    keys = [(i, group) for i in sample_ids for group in groups]
     return [
         {
-            "sample_id": sample_id,
+            "sample_id": i,
             group_key: group,
             "f": float(f[k]),
             "min_eig_fwd": fwd[k].min_eig_transposed,
             "min_eig_rev": rev[k].min_eig_transposed,
         }
-        for k, group in enumerate(groups)
+        for k, (i, group) in enumerate(keys)
     ]
 
 
@@ -235,9 +248,11 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
     both.  ``thetas_deg`` is used by ``fig4`` only and is echoed as given in
     the ``theta_deg`` column and the summary keys.
 
-    Each sample builds its PDMs as one stack: fig3 stacks the two inputs
-    under the sample's channel, fig4 the angles' channels on the sample's
-    state.  One sample is held at a time.
+    Samples run in chunks of ``SWEEP_CHUNK``.  Each sample draws from its
+    own stream; everything after the draws runs once per chunk, on stacks
+    over the chunk's samples and groups: fig3 stacks the inputs under each
+    sample's channel, fig4 the angles' channels on each sample's state.
+    One chunk is held at a time.
 
     Returns (rows, summary); summary gives the fraction of samples with
     negativity above 1e-6 per group.
@@ -253,13 +268,17 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
             "bell": QuantumState.from_ket([1, 0, 0, 1], (2, 2)),
         }
         states = np.stack([state.mat.data for state in inputs.values()])
+        assemble = _semicausal_assembly(cache_first, ancilla, 4)
 
-        def work(i: int):
-            rng = sample_stream(seed, i)
-            unitary = haar_unitary(4, rng)
-            channel = semicausal(cache_first, QuantumChannel.from_unitary(unitary.data), ancilla)
-            full = _anticommutator_step(states, choi_of(channel).data, 4, 4)
-            return _sample_rows(full, i, group_key, inputs)
+        def work(ids: range):
+            draws = np.stack([_ginibre(4, sample_stream(seed, i)) for i in ids])
+            unitaries = _haar_unitaries(draws)
+            _check_unitary(unitaries)
+            kraus = assemble(unitaries[:, None])
+            _check_trace_preserving(kraus)
+            chois = _kraus_to_choi(kraus, 4, 4)
+            full = _anticommutator_step(states, chois[:, None], 4, 4)
+            return _chunk_rows(full, ids, group_key, inputs)
 
         group_key = "input_id"
     elif scenario == "fig4":
@@ -271,17 +290,21 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
         }
         chois = np.stack([choi_of(channel).data for channel in channels.values()])
 
-        def work(i: int):
-            rng = sample_stream(seed, i)
-            state = random_pure_state(4, rng, (2, 2))
-            full = _anticommutator_step(state.mat.data, chois, 4, 4)
-            return _sample_rows(full, i, group_key, channels)
+        def work(ids: range):
+            rho = _pure_states([_gaussian_ket(4, sample_stream(seed, i)) for i in ids])
+            _check_states(rho)
+            full = _anticommutator_step(rho[:, None], chois, 4, 4)
+            return _chunk_rows(full, ids, group_key, channels)
 
         group_key = "theta_deg"
     else:
         raise ValueError(f"unknown sweep scenario {scenario!r}")
 
-    rows = [row for i in range(n) for row in work(i)]
+    rows = [
+        row
+        for start in range(0, n, SWEEP_CHUNK)
+        for row in work(range(start, min(start + SWEEP_CHUNK, n)))
+    ]
     counts: dict = {}
     for row in rows:
         key = row[group_key]

@@ -15,7 +15,7 @@ channel, whose one-channel case is the closed form ``pdm_closed_form``.
 goes through it, and it computes each slot's reduction and eigenvalues once,
 which ``marginal_state`` and ``classify`` reuse.  Its checks are one routine,
 ``_validate``, over a stack of matrices; ``PDM(...)`` runs it on a stack of
-one, the sweeps on each sample's stack.  PDMs derived from a valid one by
+one, the sweeps on each chunk's stack.  PDMs derived from a valid one by
 ``reduce`` and ``time_reverse`` come from ``PDM._trusted``, which neither
 re-checks nor copies.  The anticommutator step and the negativity likewise
 run on stacks (``_anticommutator_step``, ``_negativity``).

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
+    _check_states,
+    _check_trace_preserving,
+    _check_unitary,
+    _ginibre,
+    _haar_unitaries,
+    _kraus_to_choi,
+    _semicausal_assembly,
     channel_from_id,
     channel_from_json,
     choi_of,
@@ -20,7 +29,7 @@ from pdmcausal.channels import (
 )
 from pdmcausal.linalg import ComplexMatrix, max_abs_diff, partial_trace, swap_operator
 from pdmcausal.pauli import SIGMA
-from pdmcausal.rng import generator
+from pdmcausal.rng import generator, sample_stream
 
 from oracles import CpCheck, apply, channel_to_json, choi_pauli_form, effective_channel, is_cp
 
@@ -245,3 +254,52 @@ def test_kraus_completeness_rejected():
         QuantumChannel.from_kraus([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         QuantumChannel.from_unitary(np.ones((2, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_stacked_haar_and_semicausal_equal_the_per_sample_path(seed, count):
+    """A chunk's Haar draws and semicausal Choi matrices, built as stacks,
+    equal ``haar_unitary`` and ``choi_of(semicausal(...))`` bit for bit."""
+    ancilla = QuantumState.from_ket([1, 0])
+    cache_first = swap_channel(2)
+    unitaries = _haar_unitaries(
+        np.stack([_ginibre(4, sample_stream(seed, i)) for i in range(count)])
+    )
+    kraus = _semicausal_assembly(cache_first, ancilla, 4)(unitaries[:, None])
+    chois = _kraus_to_choi(kraus, 4, 4)
+    for i in range(count):
+        u = haar_unitary(4, sample_stream(seed, i))
+        choi = choi_of(semicausal(cache_first, QuantumChannel.from_unitary(u.data), ancilla))
+        assert unitaries[i].tobytes() == u.data.tobytes()
+        assert chois[i].tobytes() == choi.data.tobytes()
+
+
+def test_stack_checks_reject_one_bad_member():
+    rng = generator(8)
+    unitaries = _haar_unitaries(np.stack([_ginibre(4, rng) for _ in range(5)]))
+    _check_unitary(unitaries)
+    unitaries[3] *= 1.001
+    with pytest.raises(ValueError, match="not unitary"):
+        _check_unitary(unitaries)
+
+    kraus = np.stack([np.stack(random_channel(2, rng).kraus_operators) for _ in range(5)])
+    _check_trace_preserving(kraus)
+    kraus[2, 1] *= 1.001
+    with pytest.raises(ValueError, match="not trace preserving"):
+        _check_trace_preserving(kraus)
+
+    states = np.stack([random_state(4, rng).mat.data for _ in range(5)])
+    _check_states(states)
+    bad = states.copy()
+    bad[4, 0, 1] += 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _check_states(bad)
+    bad = states.copy()
+    bad[1] *= 1.001
+    with pytest.raises(ValueError, match="trace"):
+        _check_states(bad)
+    bad = states.copy()
+    bad[2] = np.diag([1.1, -0.1, 0.0, 0.0])
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01"):
+        _check_states(bad)

@@ -100,7 +100,12 @@ def test_self_check_failure_raises():
         harness.run_measure_prepare([0.5], thresholds=strict)
 
 
-@pytest.mark.parametrize("n", [1, 7])
+CHUNK = harness.SWEEP_CHUNK
+
+
+# n = 1 and 7 fit in one chunk; the others end just short of, at and just past
+# a chunk boundary, and two chunks in
+@pytest.mark.parametrize("n", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("scenario", ["fig3", "fig4"])
 def test_sweep_rows_equal_the_per_pdm_reference(scenario, seed, n):
@@ -144,18 +149,58 @@ def test_sweep_csv_bytes_are_pinned(scenario, seed):
     assert digest == SWEEP_CSV_SHA256[(scenario, seed)]
 
 
-SWEEP_WORKING_SET_LIMIT = 128 * 1024  # bytes; one sample at a time needs ~50 KiB
+# A sweep holds one chunk of SWEEP_CHUNK samples at a time, so its working set
+# is a fixed part plus a part per sample of the chunk.  Measured with Python
+# 3.11 and numpy 2.4 at n = 200 and n = 800 alike: 76-85 KiB at a chunk of 1,
+# 975-1039 KiB at 16 (fig4-fig3) and 1928-2067 KiB at 32, about 60-65 KiB per
+# sample.  At the chunk of 16 the cap below is 1184 KiB.
+SWEEP_WORKING_SET_FIXED = 32 * 1024  # bytes
+SWEEP_WORKING_SET_PER_SAMPLE = 72 * 1024  # bytes
+SWEEP_WORKING_SET_GROWTH = 16 * 1024  # bytes, from n = 200 to n = 800
 
 
-@pytest.mark.parametrize("scenario", ["fig3", "fig4"])
-def test_sweep_working_set_stays_per_sample(scenario):
-    """Memory a sweep holds beyond its result is one sample's, not n samples'."""
-    harness.run_haar_sweep(scenario, n=2, seed=1)  # warm the lazy caches
+def _sweep_working_set(scenario: str, n: int) -> int:
     tracemalloc.start()
     try:
-        rows, _ = harness.run_haar_sweep(scenario, n=200, seed=1)
+        rows, _ = harness.run_haar_sweep(scenario, n=n, seed=1)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 200 * 2
-    assert peak - retained <= SWEEP_WORKING_SET_LIMIT
+    assert len(rows) == n * 2
+    return peak - retained
+
+
+@pytest.mark.parametrize("scenario", ["fig3", "fig4"])
+def test_sweep_working_set_stays_per_chunk(scenario):
+    """Memory a sweep holds beyond its result is one chunk's, not n samples'."""
+    harness.run_haar_sweep(scenario, n=2, seed=1)  # warm the lazy caches
+    small = _sweep_working_set(scenario, 200)
+    large = _sweep_working_set(scenario, 800)
+    assert abs(large - small) <= SWEEP_WORKING_SET_GROWTH
+    cap = SWEEP_WORKING_SET_FIXED + harness.SWEEP_CHUNK * SWEEP_WORKING_SET_PER_SAMPLE
+    assert max(small, large) <= cap
+
+
+def test_sweep_checks_each_member_of_a_chunk(monkeypatch):
+    """A bad draw anywhere in a chunk fails the sweep as it fails alone."""
+    stacked_haar = harness._haar_unitaries
+
+    def one_not_unitary(draws):
+        u = stacked_haar(draws)
+        u[-1] *= 1.001
+        return u
+
+    monkeypatch.setattr(harness, "_haar_unitaries", one_not_unitary)
+    with pytest.raises(ValueError, match="not unitary"):
+        harness.run_haar_sweep("fig3", n=harness.SWEEP_CHUNK + 2, seed=3)
+
+    stacked_states = harness._pure_states
+
+    def one_off_trace(kets):
+        rho = stacked_states(kets)
+        rho[len(rho) // 2] *= 1.001
+        return rho
+
+    monkeypatch.setattr(harness, "_pure_states", one_off_trace)
+    with pytest.raises(ValueError, match="state trace"):
+        harness.run_haar_sweep("fig4", n=harness.SWEEP_CHUNK, seed=3)
