@@ -19,6 +19,11 @@ one, the sweeps on each chunk's stack.  PDMs derived from a valid one by
 ``reduce`` and ``time_reverse`` come from ``PDM._trusted``, which neither
 re-checks nor copies.  The anticommutator step and the negativity likewise
 run on stacks (``_anticommutator_step``, ``_negativity``).
+
+Neither hot step forms a large operator: the anticommutator step multiplies
+by the Choi matrix block by block instead of lifting it with identities, and
+each slot reduction is one contraction, with one ``eigvalsh`` per group of
+equal-size slots.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from ._kernels import assemble_from_expectations, expectation_tensor
 from .channels import TRACE_ATOL, QuantumChannel, QuantumState, choi_of
 from .linalg import (
     ComplexMatrix,
-    _eye_kron,
     _json_int,
     _kron_eye,
     _partial_trace,
@@ -106,16 +110,31 @@ class PDM:
 
 def _slot_marginals(data: np.ndarray, slots: tuple[Slot, ...]):
     """Each slot's reduction of ``data`` with its ascending eigenvalues, over
-    any leading stack axes of ``data``."""
-    factors = (2,) * sum(s.qubits for s in slots)
-    out = []
-    start = 0
-    for slot in slots:
-        m = _partial_trace(data, factors, range(start, start + slot.qubits))
+    any leading stack axes of ``data``.
+
+    A slot of dimension ``s`` between factors of dimension ``A`` before it
+    and ``B`` after it is reduced by one contraction of the ``(A, s, B, A,
+    s, B)`` view; the eigenvalues come from one ``eigvalsh`` per group of
+    slots of equal dimension.
+    """
+    lead = data.shape[:-2]
+    dims = [2**slot.qubits for slot in slots]
+    before, after = 1, data.shape[-1]
+    reductions = []
+    for s in dims:
+        after //= s
+        view = data.reshape(lead + (before, s, after) * 2)
+        m = np.einsum("...aibajb->...ij", view)
         m.setflags(write=False)
-        out.append((m, np.linalg.eigvalsh(m)))
-        start += slot.qubits
-    return tuple(out)
+        reductions.append(m)
+        before *= s
+    eigenvalues = [None] * len(dims)
+    for s in set(dims):
+        group = [k for k, d in enumerate(dims) if d == s]
+        w = np.linalg.eigvalsh(np.stack([reductions[k] for k in group], axis=-3))
+        for j, k in enumerate(group):
+            eigenvalues[k] = w[..., j, :]
+    return tuple(zip(reductions, eigenvalues))
 
 
 def _validate(data: np.ndarray, slots: tuple[Slot, ...]):
@@ -225,14 +244,27 @@ def pdm_iterative(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM
 def _anticommutator_step(
     data: np.ndarray, choi: np.ndarray, dim_in: int, dim_out: int
 ) -> np.ndarray:
-    """Half the anticommutator of ``data`` tensor I_out with the Choi matrix
-    lifted by the identity on every slot before its input slot.
+    """Half the anticommutator of ``ext``, ``data`` tensor I_out, with the
+    Choi matrix ``C`` lifted by the identity on every slot before its input
+    slot.
+
+    The lift ``L = I_P`` tensor ``C`` (``n`` the new dimension, ``b =
+    dim_in * dim_out``, ``P = n / b``) is block-diagonal, so it is never
+    formed: ``ext L`` is one ``(n * P, b) @ (b, b)`` product on the column
+    blocks of ``ext``, and ``L ext`` one ``(b, b) @ (b, n)`` product per row
+    block.  The tests check that this is bit for bit the two dense products
+    with the zero-filled lift.
 
     ``data`` and ``choi`` may carry leading stack axes, which broadcast.
     """
-    extended = _kron_eye(data, dim_out)
-    lifted = _eye_kron(data.shape[-1] // dim_in, choi)
-    return 0.5 * (extended @ lifted + lifted @ extended)
+    ext = _kron_eye(data, dim_out)
+    *lead, n, _ = ext.shape
+    b = dim_in * dim_out
+    p = n // b
+    right = ext.reshape(*lead, n * p, b) @ choi
+    left = choi[..., None, :, :] @ ext.reshape(*lead, p, b, n)
+    shape = right.shape[:-2] + (n, n)
+    return 0.5 * (right.reshape(shape) + left.reshape(shape))
 
 
 # ---------------------------------------------------------------------------

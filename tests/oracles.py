@@ -27,7 +27,13 @@ from pdmcausal.inference import (
     extract_choi,
     extract_reverse_choi,
 )
-from pdmcausal.linalg import ComplexMatrix, is_hermitian, matrix_to_json, partial_trace
+from pdmcausal.linalg import (
+    ComplexMatrix,
+    _partial_trace,
+    is_hermitian,
+    matrix_to_json,
+    partial_trace,
+)
 from pdmcausal.pauli import pauli_basis
 from pdmcausal.pdm import marginal_state, negativity, pdm_closed_form, reduce
 from pdmcausal.rng import generator, sample_stream
@@ -55,21 +61,35 @@ def choi_pauli_form(ch: QuantumChannel) -> ComplexMatrix:
     return ComplexMatrix(acc / ch.dim_in, (ch.dim_in, ch.dim_out))
 
 
-def pdm_kron_chain(rho1: QuantumState, channels) -> np.ndarray:
-    """Anticommutator PDM of a channel chain with each lift an explicit np.kron.
-
-    Step by step: the PDM so far tensor I_out, and I on the slots before the
-    channel's input tensor its Choi matrix; half their anticommutator is the
-    next PDM.
+def kron_anticommutator_step(data: np.ndarray, choi: np.ndarray, dim_in: int, dim_out: int):
+    """One anticommutator step on single matrices with each lift an explicit
+    np.kron: ``data`` tensor I_out, and I on the slots before the channel's
+    input tensor its Choi matrix; the result is half their anticommutator.
     """
+    extended = np.kron(data, np.eye(dim_out))
+    lifted = np.kron(np.eye(data.shape[-1] // dim_in), choi)
+    return 0.5 * (extended @ lifted + lifted @ extended)
+
+
+def pdm_kron_chain(rho1: QuantumState, channels) -> np.ndarray:
+    """Anticommutator PDM of a channel chain, one ``kron_anticommutator_step``
+    per channel."""
     data = rho1.mat.data
-    prefix_dim = 1
     for ch in channels:
-        extended = np.kron(data, np.eye(ch.dim_out))
-        lifted = np.kron(np.eye(prefix_dim), choi_of(ch).data)
-        data = 0.5 * (extended @ lifted + lifted @ extended)
-        prefix_dim *= ch.dim_in
+        data = kron_anticommutator_step(data, choi_of(ch).data, ch.dim_in, ch.dim_out)
     return data
+
+
+def slot_marginals_by_traces(data: np.ndarray, slots) -> list:
+    """Each slot's reduction of ``data`` (any leading stack axes) by tracing
+    out the other qubit factors one at a time, last factor first."""
+    factors = (2,) * sum(s.qubits for s in slots)
+    out = []
+    start = 0
+    for slot in slots:
+        out.append(_partial_trace(data, factors, range(start, start + slot.qubits)))
+        start += slot.qubits
+    return out
 
 
 class CpCheck(NamedTuple):
