@@ -20,7 +20,6 @@ from .channels import (
     QuantumState,
     channel_from_id,
     channel_from_json,
-    choi_of,
     haar_unitary,
     input_transpose,
     measure_prepare_z,
@@ -52,7 +51,6 @@ from .inference import (
     Thresholds,
     classify,
     extract_choi,
-    extract_reverse_choi,
     sdp_least_negative,
 )
 

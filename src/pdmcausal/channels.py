@@ -197,6 +197,7 @@ class QuantumChannel:
 
     @cached_property
     def choi(self) -> ComplexMatrix:
+        """Input-transposed Choi matrix with Tr_out = I, factors (dim_in, dim_out)."""
         if self.rep == "choi":
             return self.payload[0]
         m = _kraus_to_choi(self.kraus_operators, self.dim_in, self.dim_out)
@@ -204,11 +205,6 @@ class QuantumChannel:
 
     def __repr__(self) -> str:
         return f"QuantumChannel(rep={self.rep!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"
-
-
-def choi_of(ch: QuantumChannel) -> ComplexMatrix:
-    """Input-transposed Choi matrix with Tr_out = I, factors (dim_in, dim_out)."""
-    return ch.choi
 
 
 def input_transpose(m: ComplexMatrix) -> ComplexMatrix:

@@ -31,7 +31,6 @@ from .channels import (
     _kraus_to_choi,
     _pure_states,
     _semicausal_assembly,
-    choi_of,
     measure_prepare_z,
     partial_swap,
     semicausal,
@@ -245,8 +244,9 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
     Haar-random pure two-qubit inputs.
 
     ``n`` (samples) and ``seed`` are required: the output is a function of
-    both.  ``thetas_deg`` is used by ``fig4`` only and is echoed as given in
-    the ``theta_deg`` column and the summary keys.
+    both.  ``thetas_deg`` is used by ``fig4`` only, must hold distinct
+    angles (30 and 30.0 are one angle) and is echoed as given in the
+    ``theta_deg`` column and the summary keys.
 
     Samples run in chunks of ``SWEEP_CHUNK``.  Each sample draws from its
     own stream; everything after the draws runs once per chunk, on stacks
@@ -284,11 +284,13 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
     elif scenario == "fig4":
         if not thetas_deg:
             raise ValueError("fig4 needs at least one angle")
+        if len(set(thetas_deg)) != len(thetas_deg):
+            raise ValueError(f"fig4 angles must be distinct, got {list(thetas_deg)}")
         channels = {
             deg: semicausal(cache_first, partial_swap(-deg * DEG), ancilla)
             for deg in thetas_deg
         }
-        chois = np.stack([choi_of(channel).data for channel in channels.values()])
+        chois = np.stack([channel.choi.data for channel in channels.values()])
 
         def work(ids: range):
             rho = _pure_states([_gaussian_ket(4, sample_stream(seed, i)) for i in ids])

@@ -196,15 +196,6 @@ def extract_choi(
     return results[0] if single else results
 
 
-def extract_reverse_choi(pdm: PDM, thresholds: Thresholds = Thresholds()) -> ExtractionResult:
-    """Extraction applied to the time-reversed PDM.
-
-    The returned matrix has the later slot as its input factor; conjugate
-    with the swap to express it in the original slot order.
-    """
-    return extract_choi(time_reverse(pdm), thresholds)
-
-
 # ---------------------------------------------------------------------------
 # Least-negative completion (small dense SDP via operator splitting)
 # ---------------------------------------------------------------------------
@@ -242,10 +233,12 @@ class _Eigenbasis(NamedTuple):
 
     ``fixed`` is the input transpose of the entrywise solution of the Jordan
     equation there (``_jordan_solve``, which rejects an inconsistent PDM),
-    so its eigenvalues are the CP witness; ``k`` is the number of marginal
-    eigenvalues at most rank_tol.  eigh sorts ascending, so these come first
-    and the free block of the family is the leading k*dout rows and columns
-    of ``fixed``; the input transpose maps that block to itself.
+    so its eigenvalues are the CP witness; ``k`` is the number of the PDM's
+    stored marginal eigenvalues at most rank_tol, the count ``classify``
+    routes on (``eigh`` may round them differently in the last bits).  Both
+    sort ascending, so these come first and the free block of the family is
+    the leading k*dout rows and columns of ``fixed``; the input transpose
+    maps that block to itself.
     """
 
     din: int
@@ -261,7 +254,7 @@ def _eigenbasis(pdm: PDM, thresholds: Thresholds) -> _Eigenbasis:
     u = _kron_eye(v, dout)
     r = u.conj().T @ pdm.mat.data @ u
     fixed = _jordan_solve(0.5 * (r + r.conj().T), np.repeat(w, dout))
-    k = int(_rank_deficient(w, thresholds).sum())
+    k = int(_rank_deficient(pdm._marginals[0][1], thresholds).sum())
     return _Eigenbasis(din, dout, u, _input_transpose(fixed, din, dout), k)
 
 
@@ -360,7 +353,7 @@ def _schur_decision(basis: _Eigenbasis, t: float, rank_tol: float):
         z = np.vstack([top, -bottom])
         return False, z @ z.conj().T, float(t + excess / np.vdot(z, z).real)
 
-    if shifted[0] < 0:
+    if (shifted < 0).any():  # C is empty when every marginal eigenvalue is free
         return no(np.zeros((kd, 1)), v[:, :1], shifted[0])
     kernel = shifted <= rank_tol
     g = v.conj().T @ fixed[:kd, kd:].conj().T  # B^H in the eigenbasis of C
@@ -386,13 +379,12 @@ def _schur_decision(basis: _Eigenbasis, t: float, rank_tol: float):
 
 
 def sdp_least_negative(
-    pdm: PDM,
-    direction: str = "forward",
-    thresholds: Thresholds = Thresholds(),
-    *,
-    decide: bool = False,
+    pdm: PDM, thresholds: Thresholds = Thresholds(), *, decide: bool = False
 ) -> ExtractionResult:
     """Least-negative member of the affine Choi solution family.
+
+    The family is the forward one, from the first slot to the second; the
+    reverse family is that of ``time_reverse(pdm)``.
 
     Minimizes the trace of the negative part of the input-transposed matrix
     over Hermitian, trace-preserving solutions of J vec(N) = vec(R), by
@@ -417,10 +409,6 @@ def sdp_least_negative(
     returned with witness -eps_pos, the bound its Schur complement certifies.
     The run to the optimum has route None.
     """
-    if direction == "reverse":
-        pdm = time_reverse(pdm)
-    elif direction != "forward":
-        raise ValueError("direction must be 'forward' or 'reverse'")
     basis = _eigenbasis(pdm, thresholds)
     din, dout, fixed, k = basis.din, basis.dout, basis.fixed, basis.k
     kd = k * dout
@@ -439,7 +427,7 @@ def sdp_least_negative(
         raise NumericalInconsistencyError(
             f"no Hermitian trace-preserving solution reproduces the PDM (floor {floor:.3e})"
         )
-    unique = not _rank_deficient(pdm._marginals[0][1], thresholds).any()
+    unique = k == 0
     t = -thresholds.eps_pos + 0.0  # no -0.0 at eps_pos = 0
     if decide:
         cp, decision, bound = _schur_decision(basis, t, thresholds.rank_tol)
@@ -551,17 +539,14 @@ class CausalVerdict:
         }
 
 
-def _evidence(pdm: PDM, direction: str, thresholds: Thresholds) -> ExtractionResult:
-    """The unique member, or a decision on the least-negative completion when
-    the oriented first marginal is rank deficient; neither inverts J.
+def _evidence(pdm: PDM, thresholds: Thresholds) -> ExtractionResult:
+    """The unique forward member, or a decision on the least-negative
+    completion when the first marginal is rank deficient; neither inverts J.
 
-    The route comes from the stored eigenvalues of the slot that comes first
-    in ``direction``, so a reversed direction is time-reversed only once."""
-    first = 0 if direction == "forward" else 1
-    if _rank_deficient(pdm._marginals[first][1], thresholds).any():
-        return sdp_least_negative(pdm, direction, thresholds, decide=True)
-    if first == 1:
-        pdm = time_reverse(pdm)
+    The route comes from the stored first-slot marginal eigenvalues, the ones
+    ``_eigenbasis`` counts its free block on."""
+    if _rank_deficient(pdm._marginals[0][1], thresholds).any():
+        return sdp_least_negative(pdm, thresholds, decide=True)
     basis = _eigenbasis(pdm, thresholds)
     choi, residual, eigs = _in_pdm_basis(pdm, basis, basis.fixed)
     return ExtractionResult(choi, residual, True, float(eigs.min()), route="unique")
@@ -572,19 +557,21 @@ def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
 
     Negativity below eps_neg keeps only the common-cause structure; with
     negativity, the signs of the extracted forward/reverse matrices decide
-    between directed causation and a mixed structure.  A full-rank oriented
-    marginal fixes the extracted matrix; a rank-deficient one leaves a family,
-    and the least-negative completion decides whether it has a CP member.
+    between directed causation and a mixed structure.  The reverse test is
+    the forward test on the time-reversed PDM.  A full-rank first marginal
+    fixes the extracted matrix; a rank-deficient one leaves a family, and the
+    least-negative completion decides whether it has a CP member.
     """
     if len(pdm.slots) != 2:
         raise ValueError("classification is defined for exactly two slots")
+    reversed_ = time_reverse(pdm)
     f = negativity(pdm)
     (r_a, _), (r_b, _) = pdm._marginals
     product = np.kron(r_a, r_b)
     correlated = bool(max_abs_diff(pdm.mat.data, product) > thresholds.product_tol)
 
-    fwd = _evidence(pdm, "forward", thresholds)
-    rev = _evidence(pdm, "reverse", thresholds)
+    fwd = _evidence(pdm, thresholds)
+    rev = _evidence(reversed_, thresholds)
 
     if not correlated:
         compatible = frozenset(CausalStructure)

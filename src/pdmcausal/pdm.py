@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import assemble_from_expectations, expectation_tensor
-from .channels import TRACE_ATOL, QuantumChannel, QuantumState, choi_of
+from .channels import TRACE_ATOL, QuantumChannel, QuantumState
 from .linalg import (
     ComplexMatrix,
     _json_int,
@@ -237,7 +237,7 @@ def pdm_iterative(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM
     dims = _check_chain(rho1, channels)
     data = rho1.mat.data
     for ch, dim_out in zip(channels, dims[1:]):
-        data = _anticommutator_step(data, choi_of(ch).data, ch.dim_in, dim_out)
+        data = _anticommutator_step(data, ch.choi.data, ch.dim_in, dim_out)
     return _wrap(data, [_qubits(d) for d in dims])
 
 

@@ -11,7 +11,6 @@ import numpy as np
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
-    choi_of,
     haar_unitary,
     input_transpose,
     partial_swap,
@@ -25,7 +24,6 @@ from pdmcausal.inference import (
     _jordan_product,
     _rank_deficient,
     extract_choi,
-    extract_reverse_choi,
 )
 from pdmcausal.linalg import (
     ComplexMatrix,
@@ -35,7 +33,7 @@ from pdmcausal.linalg import (
     partial_trace,
 )
 from pdmcausal.pauli import pauli_basis
-from pdmcausal.pdm import marginal_state, negativity, pdm_closed_form, reduce
+from pdmcausal.pdm import marginal_state, negativity, pdm_closed_form, reduce, time_reverse
 from pdmcausal.rng import generator, sample_stream
 
 
@@ -76,7 +74,7 @@ def pdm_kron_chain(rho1: QuantumState, channels) -> np.ndarray:
     per channel."""
     data = rho1.mat.data
     for ch in channels:
-        data = kron_anticommutator_step(data, choi_of(ch).data, ch.dim_in, ch.dim_out)
+        data = kron_anticommutator_step(data, ch.choi.data, ch.dim_in, ch.dim_out)
     return data
 
 
@@ -250,7 +248,7 @@ def pdm_row(pdm, sample_id: int, extra: dict) -> dict:
     """One sweep row from one two-slot PDM through the public per-PDM calls."""
     f = negativity(pdm)
     fwd = extract_choi(pdm)
-    rev = extract_reverse_choi(pdm)
+    rev = extract_choi(time_reverse(pdm))
     row = {"sample_id": sample_id}
     row.update(extra)
     row.update(

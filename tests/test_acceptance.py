@@ -13,7 +13,6 @@ import pytest
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
-    choi_of,
     input_transpose,
     measure_prepare_z,
     random_channel,
@@ -26,7 +25,6 @@ from pdmcausal.inference import (
     CausalStructure,
     classify,
     extract_choi,
-    extract_reverse_choi,
     sdp_least_negative,
 )
 from pdmcausal.linalg import (
@@ -45,6 +43,7 @@ from pdmcausal.pdm import (
     pdm_from_measurements,
     pdm_iterative,
     reduce,
+    time_reverse,
 )
 from pdmcausal.rng import generator
 
@@ -174,7 +173,7 @@ def test_a5_choi_round_trip():
         ch = random_channel(dim, rng)
         res = extract_choi(pdm_closed_form(rho, ch))
         assert res.unique
-        worst = max(worst, max_abs_diff(res.choi.data, choi_of(ch).data))
+        worst = max(worst, max_abs_diff(res.choi.data, ch.choi.data))
     assert worst <= 1e-8, f"round trip deviates by {worst:.3e}"
     for lam in (0.25, 0.5, 0.75):
         res = extract_choi(measure_prepare_pdm(lam))
@@ -190,12 +189,12 @@ def test_a6_reference_matrices():
     r = pdm_closed_form(QuantumState.from_ket([1, 0]), QuantumChannel.identity(2))
     worst = max(worst, max_abs_diff(r.mat.data, IDENTITY_CHANNEL_PDM))
     worst = max(
-        worst, max_abs_diff(choi_of(QuantumChannel.identity(2)).data, swap_operator(2).data)
+        worst, max_abs_diff(QuantumChannel.identity(2).choi.data, swap_operator(2).data)
     )
     # reversed measure-prepare blocks across the weight grid
     s = swap_operator(2).data
     for lam in LAMBDA_GRID:
-        rev = extract_reverse_choi(measure_prepare_pdm(lam))
+        rev = extract_choi(time_reverse(measure_prepare_pdm(lam)))
         in_original_order = s @ input_transpose(rev.choi).data @ s
         expected = 0.5 * np.kron(np.array([[2, lam], [lam, 0]]), np.diag([1.0, 0])) \
             + 0.5 * np.kron(np.array([[0, lam], [lam, 2]]), np.diag([0.0, 1]))
@@ -209,7 +208,7 @@ def test_a6_reference_matrices():
             [[1, 0, 0, s2], [0, 0, c2, 0], [0, c2, 0, 0], [s2, 0, 0, 1]], dtype=complex
         )
         fwd = extract_choi(r)
-        rev = extract_reverse_choi(r)
+        rev = extract_choi(time_reverse(r))
         worst = max(worst, max_abs_diff(input_transpose(fwd.choi).data, expected_mt))
         worst = max(
             worst,
@@ -244,7 +243,7 @@ def test_a7_protocol_verdicts():
 
 def test_a8_sdp():
     r = pdm_closed_form(QuantumState.from_ket([1, 0]), QuantumChannel.identity(2))
-    res = sdp_least_negative(r, "forward")
+    res = sdp_least_negative(r)
     assert res.objective <= 1e-6
     assert res.residual <= 1e-7
     assert max_abs_diff(res.choi.data, res.choi.data.conj().T) <= 1e-7
@@ -258,7 +257,7 @@ def test_a8_sdp():
         rho = random_pure_state(2, rng)
         ch = random_channel(2, rng)
         pdm = pdm_closed_form(rho, ch)
-        solver = sdp_least_negative(pdm, "forward")
+        solver = sdp_least_negative(pdm)
         oracle = grid_oracle_objective(pdm)
         assert solver.objective <= oracle + 1e-4
         gaps.append(oracle - solver.objective)

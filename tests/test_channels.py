@@ -16,7 +16,6 @@ from pdmcausal.channels import (
     _semicausal_assembly,
     channel_from_id,
     channel_from_json,
-    choi_of,
     haar_unitary,
     input_transpose,
     measure_prepare_z,
@@ -61,18 +60,18 @@ def test_partial_swap_fixes_aligned_product():
 
 
 def test_choi_identity_is_swap():
-    assert max_abs_diff(choi_of(QuantumChannel.identity(2)).data, swap_operator(2).data) == 0
+    assert max_abs_diff(QuantumChannel.identity(2).choi.data, swap_operator(2).data) == 0
 
 
 def test_choi_measure_prepare():
-    m = choi_of(measure_prepare_z())
+    m = measure_prepare_z().choi
     expected = 0.5 * (np.kron(SIGMA[0], SIGMA[0]) + np.kron(SIGMA[3], SIGMA[3]))
     assert max_abs_diff(m.data, expected) == 0
 
 
 def test_choi_depolarizing():
     ch = QuantumChannel.from_kraus([s / 2 for s in SIGMA])
-    m = choi_of(ch)
+    m = ch.choi
     assert max_abs_diff(m.data, np.eye(4) / 2) < 1e-14
     assert max_abs_diff(partial_trace(m, {0}).data, np.eye(2)) < 1e-14
 
@@ -80,13 +79,13 @@ def test_choi_depolarizing():
 def test_choi_pauli_form_agreement():
     for seed in range(5):
         ch = random_channel(4, seed)
-        assert max_abs_diff(choi_of(ch).data, choi_pauli_form(ch).data) < 1e-10
+        assert max_abs_diff(ch.choi.data, choi_pauli_form(ch).data) < 1e-10
 
 
 def test_choi_trace_preservation_random():
     for seed in range(5):
         ch = random_channel(2, 100 + seed)
-        tr_out = partial_trace(choi_of(ch), {0}).data
+        tr_out = partial_trace(ch.choi, {0}).data
         assert max_abs_diff(tr_out, np.eye(2)) < 1e-9
 
 
@@ -97,7 +96,7 @@ def test_representations_agree():
             ch = random_channel(dim, rng)
             rho = random_state(dim, rng)
             via_kraus = apply(ch, rho).mat.data
-            back = QuantumChannel.from_choi(choi_of(ch))
+            back = QuantumChannel.from_choi(ch.choi)
             via_choi = apply(back, rho).mat.data
             assert max_abs_diff(via_kraus, via_choi) < 1e-10
     u = haar_unitary(4, rng)
@@ -115,15 +114,15 @@ def test_input_transpose():
     assert max_abs_diff(input_transpose(st).data, s.data) == 0
     sym = ComplexMatrix(np.kron(SIGMA[1], SIGMA[2]), (2, 2))  # sigma_x symmetric
     assert max_abs_diff(input_transpose(sym).data, sym.data) == 0
-    mp = choi_of(measure_prepare_z())
+    mp = measure_prepare_z().choi
     assert max_abs_diff(input_transpose(mp).data, mp.data) == 0
     with pytest.raises(ValueError):
         input_transpose(ComplexMatrix(np.eye(4)))
 
 
 def test_is_cp():
-    assert is_cp(choi_of(QuantumChannel.identity(2))) == CpCheck(True, pytest.approx(0.0, abs=1e-12))
-    assert is_cp(choi_of(measure_prepare_z())).ok
+    assert is_cp(QuantumChannel.identity(2).choi) == CpCheck(True, pytest.approx(0.0, abs=1e-12))
+    assert is_cp(measure_prepare_z().choi).ok
     lam = 0.5
     reverse = 0.5 * np.kron(np.array([[2, lam], [lam, 0]]), np.diag([1.0, 0.0])) + 0.5 * np.kron(
         np.array([[0, lam], [lam, 2]]), np.diag([0.0, 1.0])
@@ -136,7 +135,7 @@ def test_is_cp():
 def test_unitary_channels_always_cp():
     for seed in range(5):
         u = haar_unitary(4, seed)
-        assert is_cp(choi_of(QuantumChannel.from_unitary(u.data))).ok
+        assert is_cp(QuantumChannel.from_unitary(u.data).choi).ok
 
 
 def test_semicausal_replaces_first_party():
@@ -182,7 +181,7 @@ def test_measure_prepare_as_semicausal():
         QuantumState.from_ket([1, 0]),
     )
     eff = effective_channel(ch, (2, 2), pin=1, pin_state=QuantumState.from_ket([1, 0]), keep=1)
-    assert max_abs_diff(choi_of(eff).data, choi_of(measure_prepare_z()).data) < 1e-10
+    assert max_abs_diff(eff.choi.data, measure_prepare_z().choi.data) < 1e-10
 
 
 def test_partial_swap_unitary_and_kraus_pair():
@@ -199,7 +198,7 @@ def test_partial_swap_unitary_and_kraus_pair():
     eff = effective_channel(
         partial_swap(theta), (2, 2), pin=1, pin_state=QuantumState.from_ket([1, 0]), keep=0
     )
-    assert max_abs_diff(choi_of(eff).data, choi_of(pair).data) < 1e-12
+    assert max_abs_diff(eff.choi.data, pair.choi.data) < 1e-12
 
 
 def test_haar_unitary_contracts():
@@ -244,7 +243,7 @@ def test_named_channels_and_json():
     with pytest.raises(ValueError):
         channel_from_id("partial_swap:abc")
     # choi-rep serialization keeps the factor split
-    ch = QuantumChannel.from_choi(choi_of(measure_prepare_z()))
+    ch = QuantumChannel.from_choi(measure_prepare_z().choi)
     back = channel_from_json(channel_to_json(ch))
     assert back.rep == "choi" and back.dim_in == 2 and back.dim_out == 2
 
@@ -260,7 +259,7 @@ def test_kraus_completeness_rejected():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
 def test_stacked_haar_and_semicausal_equal_the_per_sample_path(seed, count):
     """A chunk's Haar draws and semicausal Choi matrices, built as stacks,
-    equal ``haar_unitary`` and ``choi_of(semicausal(...))`` bit for bit."""
+    equal ``haar_unitary`` and ``semicausal(...).choi`` bit for bit."""
     ancilla = QuantumState.from_ket([1, 0])
     cache_first = swap_channel(2)
     unitaries = _haar_unitaries(
@@ -270,7 +269,7 @@ def test_stacked_haar_and_semicausal_equal_the_per_sample_path(seed, count):
     chois = _kraus_to_choi(kraus, 4, 4)
     for i in range(count):
         u = haar_unitary(4, sample_stream(seed, i))
-        choi = choi_of(semicausal(cache_first, QuantumChannel.from_unitary(u.data), ancilla))
+        choi = semicausal(cache_first, QuantumChannel.from_unitary(u.data), ancilla).choi
         assert unitaries[i].tobytes() == u.data.tobytes()
         assert chois[i].tobytes() == choi.data.tobytes()
 

@@ -7,7 +7,6 @@ from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
     channel_from_json,
-    choi_of,
     measure_prepare_z,
     random_semicausal,
     random_state,
@@ -145,7 +144,7 @@ def test_classify_rejects_bad_thresholds(tmp_path, capsys, flag):
 
 def test_classify_accepts_slightly_negative_marginal(tmp_path, capsys):
     rho = np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(2))
-    m = choi_of(QuantumChannel.identity(2)).data
+    m = QuantumChannel.identity(2).choi.data
     blob = matrix_to_json(ComplexMatrix(0.5 * (m @ rho + rho @ m), (2, 2)))
     blob["slots"] = [{"label": "t1", "qubits": 1}, {"label": "t2", "qubits": 1}]
     path = tmp_path / "R.json"
@@ -198,6 +197,15 @@ def test_sweep_haar_angles_print_as_floats(theta_args, angles, capsys):
     assert code == 0
     assert {line.split(",")[1] for line in text.splitlines()[1:]} == angles
     assert set(json.loads(err)["fraction_negative"]) == angles
+
+
+def test_sweep_haar_rejects_a_repeated_angle(tmp_path, capsys):
+    out = tmp_path / "fig4.csv"
+    args = ["sweep", "haar", "--scenario", "fig4", "--n", "3", "--seed", "1"]
+    code, text, err = run(args + ["--theta", "30", "--theta", "30", "--out", str(out)], capsys)
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and "distinct" in err
+    assert not out.exists()
 
 
 def test_sweep_haar_needs_a_seed(capsys):

@@ -122,6 +122,13 @@ def test_fig4_needs_an_angle():
         harness.run_haar_sweep("fig4", n=1, seed=1, thetas_deg=())
 
 
+@pytest.mark.parametrize("thetas", [(30, 30.0, 60), (45, 45)])
+def test_fig4_rejects_a_repeated_angle(thetas):
+    # the angles key the groups, so a repeat would merge into one group
+    with pytest.raises(ValueError, match="distinct"):
+        harness.run_haar_sweep("fig4", n=3, seed=1, thetas_deg=thetas)
+
+
 def test_haar_sweep_needs_a_seed():
     with pytest.raises(TypeError):
         harness.run_haar_sweep("fig3", n=2)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
-    choi_of,
     haar_unitary,
     input_transpose,
     measure_prepare_z,
@@ -23,7 +22,6 @@ from pdmcausal.inference import (
     _jordan_product,
     classify,
     extract_choi,
-    extract_reverse_choi,
     sdp_least_negative,
 )
 from pdmcausal.linalg import (
@@ -71,7 +69,7 @@ def test_jordan_matrix_maps_choi_to_pdm():
         ch = random_channel(2, rng)
         r = pdm_closed_form(rho, ch)
         j = _jordan_product(rho.mat.data, 2)
-        lhs = j @ choi_of(ch).data.reshape(-1)
+        lhs = j @ ch.choi.data.reshape(-1)
         assert np.abs(lhs - r.mat.data.reshape(-1)).max() < 1e-12
 
 
@@ -100,7 +98,7 @@ def test_extract_round_trip_random():
             r = pdm_closed_form(rho, ch)
             res = extract_choi(r)
             assert res.unique
-            assert max_abs_diff(res.choi.data, choi_of(ch).data) < 1e-8
+            assert max_abs_diff(res.choi.data, ch.choi.data) < 1e-8
             tr_out = partial_trace(res.choi, {0}).data
             assert max_abs_diff(tr_out, np.eye(dim)) < 1e-8
 
@@ -127,14 +125,14 @@ def test_extract_rank_deficient_family():
 def test_extract_reverse_known_forms():
     # flat input through the identity: time symmetric, reverse matrix is the swap
     r = pdm_closed_form(QuantumState.maximally_mixed(2), QuantumChannel.identity(2))
-    rev = extract_reverse_choi(r)
+    rev = extract_choi(time_reverse(r))
     assert max_abs_diff(rev.choi.data, swap_operator(2).data) < 1e-10
 
     lam = 0.5
     plus = 0.5 * np.array([[1, 1], [1, 1]])
     rho = QuantumState.of((1 - lam) * np.eye(2) / 2 + lam * plus)
     r = pdm_closed_form(rho, measure_prepare_z())
-    rev = extract_reverse_choi(r)
+    rev = extract_choi(time_reverse(r))
     s = swap_operator(2).data
     in_original_order = s @ input_transpose(rev.choi).data @ s
     expected = 0.5 * np.kron(np.array([[2, lam], [lam, 0]]), np.diag([1.0, 0])) + 0.5 * np.kron(
@@ -226,7 +224,7 @@ def test_sequence_needs_equal_two_slot_pdms():
 
 def test_sdp_identity_instance_reaches_zero():
     r = pdm_closed_form(QuantumState.from_ket([1, 0]), QuantumChannel.identity(2))
-    res = sdp_least_negative(r, "forward")
+    res = sdp_least_negative(r)
     assert res.objective <= 1e-6
     assert res.residual <= 1e-7
     assert max_abs_diff(res.choi.data, res.choi.data.conj().T) <= 1e-7
@@ -238,14 +236,14 @@ def test_sdp_full_rank_equals_unique_extraction():
     rho = full_rank_state(2, rng)
     ch = random_channel(2, rng)
     r = pdm_closed_form(rho, ch)
-    res = sdp_least_negative(r, "forward")
+    res = sdp_least_negative(r)
     assert res.unique
     assert max_abs_diff(res.choi.data, extract_choi(r).choi.data) < 1e-7
 
 
 def test_sdp_measure_prepare_on_basis_state():
     r = pdm_closed_form(QuantumState.from_ket([1, 0]), measure_prepare_z())
-    res = sdp_least_negative(r, "forward")
+    res = sdp_least_negative(r)
     assert res.objective <= 1e-6
 
 
@@ -255,7 +253,7 @@ def test_sdp_beats_grid_oracle():
         rho = random_pure_state(2, rng)
         ch = random_channel(2, rng)
         r = pdm_closed_form(rho, ch)
-        res = sdp_least_negative(r, "forward")
+        res = sdp_least_negative(r)
         oracle = grid_oracle_objective(r)
         assert res.objective <= oracle + 1e-4
 
@@ -266,7 +264,7 @@ def test_sdp_positive_optimum_on_singleton_set():
     from pdmcausal.harness import mixture_pdm
 
     theta = np.pi / 4
-    res = sdp_least_negative(mixture_pdm(theta), "forward")
+    res = sdp_least_negative(mixture_pdm(theta))
     assert res.unique and res.converged
     assert res.objective == pytest.approx(np.cos(theta) ** 2, abs=1e-8)
 
@@ -278,7 +276,7 @@ def test_sdp_rejects_infeasible_data():
     bad = r.mat.data + 0.01 * np.kron(np.diag([0.0, 1.0]), SIGMA[1])
     pdm = PDM(ComplexMatrix(bad, (2, 2)), r.slots)
     with pytest.raises(NumericalInconsistencyError):
-        sdp_least_negative(pdm, "forward")
+        sdp_least_negative(pdm)
 
 
 @st.composite
@@ -316,9 +314,9 @@ def test_sdp_consistency_check_matches_extraction(r):
         extract_choi(r)
     except NumericalInconsistencyError:
         with pytest.raises(NumericalInconsistencyError):
-            sdp_least_negative(r, "forward")
+            sdp_least_negative(r)
     else:
-        assert sdp_least_negative(r, "forward").residual <= 1e-6
+        assert sdp_least_negative(r).residual <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -329,9 +327,9 @@ def test_unique_route_rejects_exactly_what_extraction_rejects(r):
         extract_choi(r, exact)
     except NumericalInconsistencyError:
         with pytest.raises(NumericalInconsistencyError):
-            inference._evidence(r, "forward", exact)
+            inference._evidence(r, exact)
     else:
-        res = inference._evidence(r, "forward", exact)
+        res = inference._evidence(r, exact)
         assert res.route == "unique"
         assert res.residual <= RESIDUAL_LIMIT
 
@@ -351,7 +349,7 @@ def rank_deficient_two_qubit_slots(draw):
 @given(rank_deficient_two_qubit_slots())
 def test_sdp_stays_in_family_on_two_qubit_slots(r):
     base = extract_choi(r)
-    res = sdp_least_negative(r, "forward")
+    res = sdp_least_negative(r)
     n = res.choi.data
     assert not res.unique
     assert max_abs_diff(n, n.conj().T) == 0
@@ -373,12 +371,11 @@ def test_sdp_decisions_are_certified_and_agree_with_the_optimum(r, seed):
     # forward always has a CP member (the generating channel); reverse from a
     # rank-deficient output often has none
     th = Thresholds()
-    for direction in ("forward", "reverse"):
-        oriented = r if direction == "forward" else time_reverse(r)
+    for oriented in (r, time_reverse(r)):
         if not (np.linalg.eigvalsh(marginal_state(oriented, 0).mat.data) <= th.rank_tol).any():
             continue
-        decided = sdp_least_negative(r, direction, th, decide=True)
-        optimum = sdp_least_negative(r, direction, th)
+        decided = sdp_least_negative(oriented, th, decide=True)
+        optimum = sdp_least_negative(oriented, th)
         cp = decided.min_eig_transposed >= -th.eps_pos
         assert cp == (optimum.min_eig_transposed >= -th.eps_pos)
         assert decided.iterations <= optimum.iterations
@@ -401,7 +398,7 @@ def test_classify_certifies_both_directions_of_a_rank_one_semicausal_pdm():
     verdict = classify(r)
     assert (verdict.route_forward, verdict.route_reverse) == ("certified_cp", "certified_not_cp")
     assert verdict.compatible == {CausalStructure.A_TO_B}
-    rev = sdp_least_negative(r, "reverse", Thresholds(), decide=True)
+    rev = sdp_least_negative(time_reverse(r), Thresholds(), decide=True)
     assert rev.min_eig_transposed == verdict.min_eig_reverse
     check_not_cp_certificate(time_reverse(r), rev, Thresholds())
 
@@ -426,7 +423,7 @@ def test_sdp_input_transposes_do_not_grow_with_its_iterations(monkeypatch):
     for cap in (1, inference.SDP_MAX_ITERATIONS):
         monkeypatch.setattr(inference, "SDP_MAX_ITERATIONS", cap)
         calls.clear()
-        res = sdp_least_negative(r, "forward", Thresholds(), decide=True)
+        res = sdp_least_negative(r, Thresholds(), decide=True)
         counts.append((res.iterations, len(calls)))
     (short, short_calls), (long, long_calls) = counts
     assert short == 1 and long > 4
@@ -453,7 +450,7 @@ def test_classify_certifies_the_generating_direction_at_small_eps_pos(r, eps_pos
     if verdict.f > th.eps_neg:
         assert CausalStructure.A_TO_B in verdict.compatible
     if verdict.route_reverse == "certified_not_cp":
-        rev = sdp_least_negative(r, "reverse", th, decide=True)
+        rev = sdp_least_negative(time_reverse(r), th, decide=True)
         check_not_cp_certificate(time_reverse(r), rev, th, seed)
 
 
@@ -464,7 +461,7 @@ def test_classify_keeps_the_cause_of_a_rank_one_semicausal_pdm_at_tiny_eps_pos()
 
 
 def test_sdp_run_to_the_optimum_has_no_route():
-    res = sdp_least_negative(rank_one_semicausal_pdm(), "forward")
+    res = sdp_least_negative(rank_one_semicausal_pdm())
     assert res.route is None and res.certificate is None
     assert res.converged and res.iterations > 1
 
@@ -474,7 +471,7 @@ def test_sdp_decision_falls_back_to_the_schur_member(monkeypatch):
     # member, whose Schur complement certifies witness -eps_pos
     monkeypatch.setattr(inference, "SDP_MAX_ITERATIONS", 1)
     th = Thresholds(eps_pos=1e-12)
-    res = sdp_least_negative(rank_one_semicausal_pdm(), "forward", th, decide=True)
+    res = sdp_least_negative(rank_one_semicausal_pdm(), th, decide=True)
     assert res.route == "certified_cp" and res.iterations == 1
     assert res.min_eig_transposed == -1e-12
     assert max_abs_diff(partial_trace(res.choi, {0}).data, np.eye(4)) <= 1e-7
@@ -515,8 +512,8 @@ def test_classify_certifies_b_reaching_the_kernel_of_c(eps_pos):
     verdict = classify(r, th)
     assert (verdict.route_forward, verdict.route_reverse) == ("certified_not_cp",) * 2
     assert sorted(int(c) for c in verdict.compatible) == [4, 5]
-    for direction, oriented in (("forward", r), ("reverse", time_reverse(r))):
-        res = sdp_least_negative(r, direction, th, decide=True)
+    for oriented in (r, time_reverse(r)):
+        res = sdp_least_negative(oriented, th, decide=True)
         check_not_cp_certificate(oriented, res, th)
         assert res.iterations == 0
 
@@ -530,9 +527,9 @@ def test_classify_rank_tol_selects_sdp_route(monkeypatch):
     calls = []
     original = inference.sdp_least_negative
 
-    def spy(pdm, direction, thresholds, **kwargs):
-        calls.append(direction)
-        return original(pdm, direction, thresholds, **kwargs)
+    def spy(pdm, thresholds, **kwargs):
+        calls.append(pdm.slots[0].label)
+        return original(pdm, thresholds, **kwargs)
 
     monkeypatch.setattr(inference, "sdp_least_negative", spy)
     default = classify(r)
@@ -540,7 +537,32 @@ def test_classify_rank_tol_selects_sdp_route(monkeypatch):
     assert calls == []
     loose = classify(r, Thresholds(rank_tol=1e-2))
     assert not loose.unique_forward and not loose.unique_reverse
-    assert calls == ["forward", "reverse"]
+    assert calls == ["t1", "t2"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+@example(seed=0, index=0)  # eigh rounds this eigenvalue above the stored one
+@example(seed=0, index=3)  # every eigenvalue free: the fixed block C is empty
+def test_free_block_counts_the_stored_marginal_eigenvalues(seed, index):
+    # rank_tol on a stored first-slot marginal eigenvalue: the free block
+    # counts the eigenvalues the route is chosen on, whatever eigh rounds to
+    rng = generator(seed)
+    r = pdm_closed_form(random_state(4, rng, rank=4, factors=(2, 2)), random_channel(4, rng))
+    stored = r._marginals[0][1]
+    th = Thresholds(rank_tol=float(stored[index]))
+    basis = inference._eigenbasis(r, th)
+    assert basis.k == int((stored <= th.rank_tol).sum()) >= 1
+    cp, _, _ = inference._schur_decision(basis, -th.eps_pos, th.rank_tol)
+    if basis.k == 4:
+        assert cp  # the family holds I tensor I / dout
+
+
+def test_classify_with_every_marginal_eigenvalue_free():
+    r = pdm_closed_form(QuantumState.maximally_mixed(2), QuantumChannel.identity(2))
+    verdict = classify(r, Thresholds(rank_tol=1.0))
+    assert (verdict.route_forward, verdict.route_reverse) == ("certified_cp",) * 2
+    assert verdict.min_eig_forward >= -verdict.thresholds.eps_pos
 
 
 def test_verdict_reports_the_residual_of_a_loose_rank_tol():
@@ -570,9 +592,9 @@ def test_classify_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
         extractions.append(1)
         return original_extract(*args, **kwargs)
 
-    def spy_sdp(pdm, direction, thresholds, **kwargs):
-        sdp_calls.append(direction)
-        return original_sdp(pdm, direction, thresholds, **kwargs)
+    def spy_sdp(pdm, thresholds, **kwargs):
+        sdp_calls.append(pdm.slots[0].label)
+        return original_sdp(pdm, thresholds, **kwargs)
 
     def spy_pinv(*args, **kwargs):
         pinvs.append(1)
@@ -584,7 +606,7 @@ def test_classify_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
     verdict = classify(r)
     assert not verdict.unique_forward and verdict.unique_reverse
     assert verdict.route_reverse == "unique"
-    assert sdp_calls == ["forward"]
+    assert sdp_calls == ["t1"]
     assert extractions == []
     assert pinvs == []
 
@@ -610,7 +632,7 @@ def test_accepted_pdm_with_slightly_negative_marginal_classifies():
     # identity-channel PDM of diag(1 + 5e-10, -5e-10): its first marginal is
     # inside the PDM's tolerance but outside the state constructor's
     rho = np.kron(np.diag([1 + 5e-10, -5e-10]), np.eye(2))
-    m = choi_of(QuantumChannel.identity(2)).data
+    m = QuantumChannel.identity(2).choi.data
     data = 0.5 * (m @ rho + rho @ m)
     r = PDM(ComplexMatrix(data, (2, 2)), (Slot("t1", 1), Slot("t2", 1)))
     assert np.linalg.eigvalsh(marginal_state(r, 0).mat.data).min() < -1e-10
@@ -724,6 +746,10 @@ def test_classify_mirrors_under_time_reversal(r):
     assert mirrored.min_eig_reverse == verdict.min_eig_forward
     assert mirrored.unique_forward == verdict.unique_reverse
     assert mirrored.unique_reverse == verdict.unique_forward
+    assert mirrored.route_forward == verdict.route_reverse
+    assert mirrored.route_reverse == verdict.route_forward
+    assert mirrored.residual_forward == verdict.residual_reverse
+    assert mirrored.residual_reverse == verdict.residual_forward
     assert mirrored.correlated == verdict.correlated
     assert abs(mirrored.f - verdict.f) <= 1e-12
 
@@ -771,6 +797,16 @@ def test_verdict_json_schema():
     for verdict in (blob, certified):
         for key in ("f", "min_eig_forward", "min_eig_reverse", "residual_forward", "residual_reverse"):
             assert type(verdict[key]) is float, key
+
+
+def test_classify_needs_equal_slot_dimensions():
+    # the reverse test runs on the time-reversed PDM, which needs both slots
+    # of one size
+    rng = generator(34)
+    a, b = random_state(2, rng).mat.data, random_state(4, rng).mat.data
+    r = PDM(ComplexMatrix(np.kron(a, b), (2, 2, 2)), (Slot("t1", 1), Slot("t2", 2)))
+    with pytest.raises(ValueError, match="time reversal needs equal slot dimensions"):
+        classify(r)
 
 
 def test_classify_requires_two_slots():
