@@ -116,16 +116,16 @@ def _kraus_to_choi(kraus, dim_in: int, dim_out: int) -> np.ndarray:
 
 def _check_trace_preserving(kraus: np.ndarray):
     """Raise ValueError unless each Kraus set of an (..., k, d_out, d_in)
-    stack sums to the identity to ``CHANNEL_ATOL``."""
+    stack sums to the identity to ``CHANNEL_ATOL``; NaN entries fail."""
     total = (kraus.conj().swapaxes(-2, -1) @ kraus).sum(axis=-3)
-    if np.abs(total - np.eye(kraus.shape[-1])).max() > CHANNEL_ATOL:
+    if not np.abs(total - np.eye(kraus.shape[-1])).max() <= CHANNEL_ATOL:
         raise ValueError("Kraus operators are not trace preserving")
 
 
 def _check_unitary(u: np.ndarray):
     """Raise ValueError unless each matrix of an (..., d, d) stack is unitary
-    to ``CHANNEL_ATOL``."""
-    if np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(u.shape[-2])).max() > CHANNEL_ATOL:
+    to ``CHANNEL_ATOL``; NaN entries fail."""
+    if not np.abs(u.conj().swapaxes(-2, -1) @ u - np.eye(u.shape[-2])).max() <= CHANNEL_ATOL:
         raise ValueError("matrix is not unitary")
 
 
@@ -173,7 +173,7 @@ class QuantumChannel:
             raise ValueError("a Choi matrix needs exactly two factors (in, out)")
         dim_in, dim_out = choi.factors
         tr_out = partial_trace(choi, {0}).data
-        if np.abs(tr_out - np.eye(dim_in)).max() > CHANNEL_ATOL:
+        if not np.abs(tr_out - np.eye(dim_in)).max() <= CHANNEL_ATOL:
             raise ValueError("Choi matrix is not trace preserving (Tr_out != I)")
         if not is_hermitian(choi.data):
             raise ValueError("Choi matrix is not Hermitian")

@@ -243,10 +243,10 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
     ``fig4``: same caching followed by exp(-i theta S) at fixed angles,
     Haar-random pure two-qubit inputs.
 
-    ``n`` (samples) and ``seed`` are required: the output is a function of
-    both.  ``thetas_deg`` is used by ``fig4`` only, must hold distinct
-    angles (30 and 30.0 are one angle) and is echoed as given in the
-    ``theta_deg`` column and the summary keys.
+    ``n`` (samples) and ``seed`` (in [0, 2**128)) are required: the output
+    is a function of both.  ``thetas_deg`` is used by ``fig4`` only, must
+    hold distinct angles (30 and 30.0 are one angle) and is echoed as given
+    in the ``theta_deg`` column and the summary keys.
 
     Samples run in chunks of ``SWEEP_CHUNK``.  Each sample draws from its
     own stream; everything after the draws runs once per chunk, on stacks
@@ -259,6 +259,8 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
     """
     if n < 1:
         raise ValueError("sample count must be >= 1")
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed {seed} outside [0, 2**128), the Philox key range")
     ancilla = QuantumState.from_ket([1, 0])
     cache_first = swap_channel(2)
 

@@ -6,9 +6,9 @@ and rho the first-slot marginal padded with the output identity.  When the
 marginal is full rank the solution is unique; otherwise it is an affine
 family, free only in the ker(marginal) tensor out block.  ``extract_choi``
 solves the system through the pseudo-inverse of J (the minimum-norm member),
-for one PDM or a stack of them in one call; the sweeps use it, one stack per
-direction of each sample.  In the eigenbasis of rho the system solves entry by
-entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
+for one PDM or a stack of them, and ranks the marginal eigenvalues the PDMs
+store, as ``classify`` does.  In the eigenbasis of rho the system solves entry
+by entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
 J nor a pseudo-inverse.  ``classify`` works there on the input-transposed
 family, whose eigenvalues are the CP witness: it reads the unique member off
 it directly and, for a rank-deficient marginal, decides by a Schur complement
@@ -45,7 +45,7 @@ from .linalg import (
     _partial_trace,
     max_abs_diff,
 )
-from .pdm import PDM, negativity, time_reverse
+from .pdm import PDM, _slot_marginals, negativity, time_reverse
 
 RESIDUAL_LIMIT = 1e-6
 PINV_RCOND = 1e-10
@@ -139,6 +139,15 @@ def _rank_deficient(w: np.ndarray, thresholds: Thresholds) -> np.ndarray:
     return w <= thresholds.rank_tol
 
 
+def _check_residual(residual: float) -> float:
+    """Pass ``residual`` through; raise when no family member reproduces the PDM."""
+    if residual > RESIDUAL_LIMIT:
+        raise NumericalInconsistencyError(
+            f"PDM is inconsistent with the anticommutator family (residual {residual:.3e})"
+        )
+    return residual
+
+
 def _two_slot_dims(pdm: PDM) -> tuple[int, int]:
     if len(pdm.slots) != 2:
         raise ValueError("extraction is defined for exactly two slots")
@@ -152,12 +161,13 @@ def extract_choi(
 
     ``pdms`` is one two-slot PDM, which gives one ExtractionResult, or a
     sequence of them with equal slot sizes, which gives a tuple of them in
-    order.  A sequence runs as one stack: its first-slot marginals, Jordan
-    matrices, pseudo-inverses and witnesses are computed in one call each,
-    with the results of extracting each PDM alone, bit for bit.
+    order.  A sequence runs as one stack: its first-slot marginals with their
+    eigenvalues (``_slot_marginals``, each PDM's stored ones bit for bit),
+    Jordan matrices, pseudo-inverses and witnesses are computed in one call
+    each, with the results of extracting each PDM alone, bit for bit.
 
     Raises NumericalInconsistencyError when no member of the closed-form
-    family reproduces a PDM (its residual is above the limit).
+    family reproduces a PDM (``_check_residual``).
     """
     single = isinstance(pdms, PDM)
     seq = (pdms,) if single else tuple(pdms)
@@ -167,19 +177,13 @@ def extract_choi(
     if any(_two_slot_dims(p) != (din, dout) for p in seq[1:]):
         raise ValueError("extraction from a sequence needs equal slot sizes")
     data = np.stack([p.mat.data for p in seq])
-    marg = _partial_trace(data, seq[0].mat.factors, range(seq[0].slots[0].qubits))
-    w = np.linalg.eigvalsh(marg)
+    marg, w = _slot_marginals(data, seq[0].slots)[0]
     jmat = _jordan_product(marg, dout)
     rvec = data.reshape(len(seq), -1, 1)
     mvec = np.linalg.pinv(jmat, rcond=PINV_RCOND) @ rvec
     defect = jmat @ mvec - rvec
     # one norm per PDM: a norm over the stack's last axis rounds differently
-    residuals = [float(np.linalg.norm(x[:, 0])) for x in defect]
-    for residual in residuals:
-        if residual > RESIDUAL_LIMIT:
-            raise NumericalInconsistencyError(
-                f"PDM is inconsistent with the anticommutator family (residual {residual:.3e})"
-            )
+    residuals = [_check_residual(float(np.linalg.norm(x[:, 0]))) for x in defect]
     m = mvec.reshape(len(seq), din * dout, din * dout)
     m = 0.5 * (m + m.conj().swapaxes(-2, -1))
     unique = ~_rank_deficient(w, thresholds).any(axis=-1)
@@ -213,18 +217,12 @@ def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     mean |lam_a + lam_b| / 2 is at most PINV_RCOND times the largest mean
     are cut to zero, the cut the pseudo-inverse makes on the Jordan matrix's
     eigenvalues.  The norm of ``r`` on the cut entries is the residual the
-    pinv solution leaves; above RESIDUAL_LIMIT no member of the family
-    reproduces the PDM and NumericalInconsistencyError is raised, so this
-    accepts exactly the PDMs ``extract_choi`` accepts.
+    pinv solution leaves, so ``_check_residual`` rejects what ``extract_choi`` does.
     """
     mean = 0.5 * (lam[:, None] + lam[None, :])
     size = np.abs(mean)
     cut = size <= PINV_RCOND * size.max()
-    residual = float(np.linalg.norm(r[cut]))
-    if residual > RESIDUAL_LIMIT:
-        raise NumericalInconsistencyError(
-            f"PDM is inconsistent with the anticommutator family (residual {residual:.3e})"
-        )
+    _check_residual(float(np.linalg.norm(r[cut])))
     return np.where(cut, 0.0, r / np.where(cut, 1.0, mean))
 
 
@@ -544,7 +542,7 @@ def _evidence(pdm: PDM, thresholds: Thresholds) -> ExtractionResult:
     completion when the first marginal is rank deficient; neither inverts J.
 
     The route comes from the stored first-slot marginal eigenvalues, the ones
-    ``_eigenbasis`` counts its free block on."""
+    ``_eigenbasis`` counts its free block on and ``extract_choi`` ranks."""
     if _rank_deficient(pdm._marginals[0][1], thresholds).any():
         return sdp_least_negative(pdm, thresholds, decide=True)
     basis = _eigenbasis(pdm, thresholds)

@@ -229,10 +229,12 @@ def unstacked_extraction(pdm, thresholds):
     """``extract_choi`` on one PDM with 2-D numpy calls only.
 
     Returns (choi data, residual, unique, min_eig_transposed); the stacked
-    extraction must reproduce each bit for bit.
+    extraction must reproduce each bit for bit.  The marginal is the one the
+    PDM stored (``marginal_state``); ``test_slot_marginals_agree_with_nested_traces``
+    checks that reduction against nested partial traces.
     """
     din, dout = (2**s.qubits for s in pdm.slots)
-    marg = partial_trace(pdm.mat, range(pdm.slots[0].qubits)).data
+    marg = marginal_state(pdm, 0).mat.data
     jmat = _jordan_product(marg, dout)
     rvec = pdm.mat.data.reshape(-1)
     mvec = np.linalg.pinv(jmat, rcond=PINV_RCOND) @ rvec

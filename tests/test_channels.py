@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -253,6 +255,29 @@ def test_kraus_completeness_rejected():
         QuantumChannel.from_kraus([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         QuantumChannel.from_unitary(np.ones((2, 2)))
+
+
+def test_channel_checks_reject_nan():
+    """A NaN entry fails the unitarity and trace-preservation checks rather
+    than passing them and surfacing later as a non-Hermitian PDM."""
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(ValueError, match="not unitary"):
+        QuantumChannel.from_unitary(nan)
+    with pytest.raises(ValueError, match="not unitary"):
+        channel_from_id("partial_swap:nan")
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel.from_kraus([nan])
+    obj = channel_to_json(QuantumChannel.from_kraus([SIGMA[1] / np.sqrt(2), SIGMA[3] / np.sqrt(2)]))
+    obj["matrices"][1]["im"][0][1] = float("nan")
+    with pytest.raises(ValueError, match="not trace preserving"):
+        channel_from_json(json.loads(json.dumps(obj)))
+    choi = ComplexMatrix(np.where(np.eye(4) > 0, np.nan, measure_prepare_z().choi.data), (2, 2))
+    with pytest.raises(ValueError, match="not trace preserving"):
+        QuantumChannel.from_choi(choi)
+    unitaries = _haar_unitaries(np.stack([_ginibre(2, generator(i)) for i in range(3)]))
+    unitaries[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="not unitary"):
+        _check_unitary(unitaries)
 
 
 @settings(max_examples=30, deadline=None)

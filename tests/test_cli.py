@@ -208,6 +208,17 @@ def test_sweep_haar_rejects_a_repeated_angle(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_haar_rejects_a_seed_outside_the_philox_key_range(capsys):
+    for seed in ("-1", str(2**128)):
+        args = ["sweep", "haar", "--scenario", "fig3", "--n", "2", "--seed", seed]
+        code, text, err = run(args, capsys)
+        assert code == 1 and text == ""
+        assert err.startswith("error: ") and f"seed {seed} outside [0, 2**128)" in err
+    args = ["sweep", "haar", "--scenario", "fig3", "--n", "1", "--seed", str(2**128 - 1)]
+    code, text, _ = run(args, capsys)
+    assert code == 0 and text.count("\n") == 3
+
+
 def test_sweep_haar_needs_a_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "haar", "--scenario", "fig3", "--n", "2"])

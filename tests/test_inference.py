@@ -191,6 +191,23 @@ def test_extracting_a_sequence_equals_extracting_each_pdm(pdms):
         assert (m.tobytes(), residual, unique, min_eig) == _extraction_bits(alone)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(0)
+@example(1)
+@example(12)
+def test_extraction_and_classify_rank_the_same_eigenvalues(seed):
+    """With rank_tol at the stored smallest first-marginal eigenvalue,
+    ``extract_choi``'s ``unique`` is ``classify``'s in both orientations
+    (seeds 1 and 12 forward, 0 and 12 reversed, disagreed while
+    ``extract_choi`` ranked its own ``eigvalsh``)."""
+    rng = generator(seed)
+    r = pdm_closed_form(random_state(4, rng, rank=4, factors=(2, 2)), random_channel(4, rng))
+    for p in (r, time_reverse(r)):
+        th = Thresholds(rank_tol=float(p._marginals[0][1][0]))
+        assert extract_choi(p, th).unique == classify(p, th).unique_forward
+
+
 def test_sequence_with_one_inconsistent_pdm_is_rejected():
     rho = QuantumState.from_ket([1, 0])
     depol = QuantumChannel.from_kraus([s / 2 for s in SIGMA])

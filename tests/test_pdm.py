@@ -482,6 +482,23 @@ def test_slot_marginals_agree_with_nested_traces(case):
             assert w[idx].tobytes() == np.linalg.eigvalsh(m[idx]).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(marginal_stacks())
+def test_slot_marginals_of_a_stack_are_each_pdms_own(case):
+    """A stack's reductions and eigenvalues are bit for bit those of each
+    member alone, as ``PDM(...)`` stores them and as a trusted PDM computes
+    them on first use, so a stacked extraction ranks the numbers ``classify``
+    routes on."""
+    data, slots = case
+    factors = (2,) * sum(s.qubits for s in slots)
+    marginals = _slot_marginals(data, slots)
+    for idx in np.ndindex(data.shape[:-2]):
+        for pdm in (PDM(ComplexMatrix(data[idx], factors), slots), PDM._trusted(data[idx], slots)):
+            for (m, w), (own_m, own_w) in zip(marginals, pdm._marginals):
+                assert m[idx].tobytes() == own_m.tobytes()
+                assert w[idx].tobytes() == own_w.tobytes()
+
+
 @st.composite
 def derived_pdms(draw):
     """A closed-form PDM with 1- or 2-qubit slots and a reduction of it."""
