@@ -77,16 +77,20 @@ class QuantumState:
         return cls(ComplexMatrix(np.eye(dim) / dim, factors))
 
 
-def _check_states(a: np.ndarray):
-    """``QuantumState``'s checks on an (s, d, d) stack: each matrix must be
-    Hermitian, have unit trace and no eigenvalue below ``-STATE_EIG_ATOL``;
-    the first failure raises ValueError."""
+def _check_hermitian_unit_trace(a: np.ndarray, what: str):
+    """ValueError naming ``what`` unless every matrix of ``a`` is Hermitian with unit trace."""
     if not is_hermitian(a):
-        raise ValueError("state is not Hermitian")
+        raise ValueError(f"{what} is not Hermitian")
     tr = np.trace(a, axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0)
     if off.max() > TRACE_ATOL:
-        raise ValueError(f"state trace {tr[(off > TRACE_ATOL).argmax()]} != 1")
+        raise ValueError(f"{what} trace {tr[(off > TRACE_ATOL).argmax()]} != 1")
+
+
+def _check_states(a: np.ndarray):
+    """``QuantumState``'s checks on an (s, d, d) stack, the first failure raising
+    ValueError: Hermitian, unit trace, no eigenvalue below ``-STATE_EIG_ATOL``."""
+    _check_hermitian_unit_trace(a, "state")
     lowest = np.linalg.eigvalsh(a)[..., 0]
     if lowest.min() < -STATE_EIG_ATOL:
         first = lowest[(lowest < -STATE_EIG_ATOL).argmax()]
@@ -280,6 +284,8 @@ def _semicausal_assembly(n_ac: QuantumChannel, rho_c: QuantumState, dim_bc: int)
 
 def partial_swap(theta: float) -> QuantumChannel:
     """Two-qubit unitary exp(i theta S) = cos(theta) I + i sin(theta) S."""
+    if not np.isfinite(theta):
+        raise ValueError(f"partial_swap angle must be finite, got {theta}")
     s = swap_operator(2).data
     u = np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * s
     return QuantumChannel.from_unitary(u)

@@ -7,15 +7,14 @@ marginal is full rank the solution is unique; otherwise it is an affine
 family, free only in the ker(marginal) tensor out block.  ``extract_choi``
 solves the system through the pseudo-inverse of J (the minimum-norm member),
 for one PDM or a stack of them, and ranks the marginal eigenvalues the PDMs
-store, as ``classify`` does.  In the eigenbasis of rho the system solves entry
-by entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)), with neither
-J nor a pseudo-inverse.  ``classify`` works there on the input-transposed
-family, whose eigenvalues are the CP witness: it reads the unique member off
-it directly and, for a rank-deficient marginal, decides by a Schur complement
-whether some member is CP within eps_pos: a member proves a yes and a dual
-(Farkas) certificate a no, both in closed form.  ``sdp_least_negative``
-searches the free block for the least-negative member with a small splitting
-solver, projecting onto the trace-preserving members in closed form.
+store, as ``sdp_least_negative`` does.  In the eigenbasis of rho the system
+solves entry by entry instead (each fixed entry is 2 R_ab / (lam_a + lam_b)),
+with neither J nor a pseudo-inverse.  ``sdp_least_negative`` works there on
+the input-transposed family, whose eigenvalues are the CP witness: a full-rank
+family is its one member; otherwise it searches the free block for the
+least-negative member by operator splitting or, asked to decide, settles by a
+Schur complement whether some member is CP within eps_pos (a member proves a
+yes, a dual (Farkas) certificate a no).  ``classify`` asks it both ways.
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -96,16 +95,16 @@ class ExtractionResult:
     ``residual`` is the 2-norm defect of the linear system for this PDM
     alone, also when it was extracted as part of a sequence; ``unique`` is
     whether the marginal was full rank; ``min_eig_transposed`` the smallest
-    eigenvalue of the input-transposed matrix (the CP witness).  The SDP
-    path also fills ``objective`` (trace of the negative part attained),
-    ``iterations`` and ``converged``.
+    eigenvalue of the input-transposed matrix (the CP witness).
+    ``sdp_least_negative`` also fills ``objective`` (trace of the negative
+    part attained), ``iterations`` (0 without a search) and ``converged``.
 
-    ``route`` says how ``classify`` obtained the evidence: ``unique`` (the
-    one member of a full-rank family), ``certified_cp`` (a member whose
-    witness is at least -eps_pos) or ``certified_not_cp`` (a dual
+    ``route`` says how ``sdp_least_negative`` obtained the evidence:
+    ``unique`` (the one member of a full-rank family), ``certified_cp`` (a
+    member whose witness is at least -eps_pos) or ``certified_not_cp`` (a dual
     certificate, kept in ``certificate``: then ``min_eig_transposed`` is its
     bound, which every member's witness lies at or below).  ``extract_choi``
-    and the run to the optimum leave it None.
+    and the search to the optimum leave it None.
     """
 
     choi: ComplexMatrix
@@ -382,7 +381,9 @@ def sdp_least_negative(
     """Least-negative member of the affine Choi solution family.
 
     The family is the forward one, from the first slot to the second; the
-    reverse family is that of ``time_reverse(pdm)``.
+    reverse family is that of ``time_reverse(pdm)``.  A full-rank family (no
+    stored marginal eigenvalue at most rank_tol) is its one member, returned
+    at once with route ``unique`` and 0 iterations.
 
     Minimizes the trace of the negative part of the input-transposed matrix
     over Hermitian, trace-preserving solutions of J vec(N) = vec(R), by
@@ -398,6 +399,10 @@ def sdp_least_negative(
     restore Tr_out = I; the witness is the iterate's eigenvalues and the prox
     a plain eigenvalue clip.  The result is rotated back once and its
     residual measured against the PDM.
+
+    Raises NumericalInconsistencyError when no member is trace preserving
+    (the floor), as when a marginal eigenvalue lies above rank_tol but under
+    ``_jordan_solve``'s cut, so that it is neither free nor solved for.
 
     With ``decide``, ``_schur_decision`` first decides whether a member is CP
     within eps_pos.  A no returns at once (``certified_not_cp``: the member
@@ -419,13 +424,16 @@ def sdp_least_negative(
         y[:kd, :kd] = block - _kron_eye(shift, dout) / dout
         return y
 
-    x0 = project(np.zeros_like(fixed))
+    x0 = project(np.zeros_like(fixed)) if k else fixed
     floor = float(np.linalg.norm(_partial_trace(x0, (din, dout), (0,)) - np.eye(din)))
     if floor > RESIDUAL_LIMIT:
         raise NumericalInconsistencyError(
-            f"no Hermitian trace-preserving solution reproduces the PDM (floor {floor:.3e})"
+            f"no trace-preserving member (floor {floor:.3e}, rank_tol {thresholds.rank_tol:g})"
         )
-    unique = k == 0
+    if not k:
+        choi, residual, eigs = _in_pdm_basis(pdm, basis, fixed)
+        min_eig, objective = float(eigs.min()), _neg_part_trace(eigs)
+        return ExtractionResult(choi, residual, True, min_eig, objective, 0, True, "unique")
     t = -thresholds.eps_pos + 0.0  # no -0.0 at eps_pos = 0
     if decide:
         cp, decision, bound = _schur_decision(basis, t, thresholds.rank_tol)
@@ -434,7 +442,7 @@ def sdp_least_negative(
             cert = ComplexMatrix._trusted(basis.u.conj() @ decision @ basis.u.T, (din, dout))
             objective = _neg_part_trace(eigs)
             return ExtractionResult(
-                choi, residual, unique, bound, objective, 0, True, "certified_not_cp", cert
+                choi, residual, False, bound, objective, 0, True, "certified_not_cp", cert
             )
 
     accel = _Anderson(SDP_ANDERSON_MEMORY, fixed.shape)
@@ -483,7 +491,7 @@ def sdp_least_negative(
     if min_eig is None:
         min_eig = float(member_eigs.min())
     return ExtractionResult(
-        choi, residual, unique, min_eig, _neg_part_trace(member_eigs), iterations, converged, route
+        choi, residual, False, min_eig, _neg_part_trace(member_eigs), iterations, converged, route
     )
 
 
@@ -537,28 +545,16 @@ class CausalVerdict:
         }
 
 
-def _evidence(pdm: PDM, thresholds: Thresholds) -> ExtractionResult:
-    """The unique forward member, or a decision on the least-negative
-    completion when the first marginal is rank deficient; neither inverts J.
-
-    The route comes from the stored first-slot marginal eigenvalues, the ones
-    ``_eigenbasis`` counts its free block on and ``extract_choi`` ranks."""
-    if _rank_deficient(pdm._marginals[0][1], thresholds).any():
-        return sdp_least_negative(pdm, thresholds, decide=True)
-    basis = _eigenbasis(pdm, thresholds)
-    choi, residual, eigs = _in_pdm_basis(pdm, basis, basis.fixed)
-    return ExtractionResult(choi, residual, True, float(eigs.min()), route="unique")
-
-
 def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
     """Run the three-step compatibility protocol on a two-slot PDM.
 
     Negativity below eps_neg keeps only the common-cause structure; with
     negativity, the signs of the extracted forward/reverse matrices decide
     between directed causation and a mixed structure.  The reverse test is
-    the forward test on the time-reversed PDM.  A full-rank first marginal
-    fixes the extracted matrix; a rank-deficient one leaves a family, and the
-    least-negative completion decides whether it has a CP member.
+    the forward test on the time-reversed PDM (``sdp_least_negative``).  A
+    full-rank first marginal fixes the extracted matrix; a rank-deficient one
+    leaves a family, and the least-negative completion decides whether it has
+    a CP member.
     """
     if len(pdm.slots) != 2:
         raise ValueError("classification is defined for exactly two slots")
@@ -568,8 +564,8 @@ def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
     product = np.kron(r_a, r_b)
     correlated = bool(max_abs_diff(pdm.mat.data, product) > thresholds.product_tol)
 
-    fwd = _evidence(pdm, thresholds)
-    rev = _evidence(reversed_, thresholds)
+    fwd = sdp_least_negative(pdm, thresholds, decide=True)
+    rev = sdp_least_negative(reversed_, thresholds, decide=True)
 
     if not correlated:
         compatible = frozenset(CausalStructure)

@@ -35,14 +35,13 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import assemble_from_expectations, expectation_tensor
-from .channels import TRACE_ATOL, QuantumChannel, QuantumState
+from .channels import QuantumChannel, QuantumState, _check_hermitian_unit_trace
 from .linalg import (
     ComplexMatrix,
     _json_int,
     _kron_eye,
     _partial_trace,
     _permute_factors,
-    is_hermitian,
     matrix_from_json,
     matrix_to_json,
 )
@@ -144,12 +143,7 @@ def _validate(data: np.ndarray, slots: tuple[Slot, ...]):
     trace and PSD slot reductions; the first failure raises ValueError.
     Returns the slot reductions as ``_slot_marginals`` does.
     """
-    if not is_hermitian(data):
-        raise ValueError("PDM is not Hermitian")
-    tr = np.trace(data, axis1=-2, axis2=-1).real
-    off = np.abs(tr - 1.0)
-    if off.max() > TRACE_ATOL:
-        raise ValueError(f"PDM trace {tr[(off > TRACE_ATOL).argmax()]} != 1")
+    _check_hermitian_unit_trace(data, "PDM")
     marginals = _slot_marginals(data, slots)
     for slot, (_, w) in zip(slots, marginals):
         if w.min() < -MARGINAL_EIG_ATOL:

@@ -250,6 +250,13 @@ def test_named_channels_and_json():
     assert back.rep == "choi" and back.dim_in == 2 and back.dim_out == 2
 
 
+@pytest.mark.parametrize("angle", ["inf", "-inf"])
+def test_partial_swap_rejects_an_infinite_angle(angle):
+    # before np.cos, which warns on it; test_channel_checks_reject_nan has nan
+    with pytest.raises(ValueError, match=f"partial_swap angle must be finite, got {angle}"):
+        channel_from_id(f"partial_swap:{angle}")
+
+
 def test_kraus_completeness_rejected():
     with pytest.raises(ValueError):
         QuantumChannel.from_kraus([np.eye(2), np.eye(2)])
@@ -263,7 +270,7 @@ def test_channel_checks_reject_nan():
     nan = np.full((2, 2), np.nan)
     with pytest.raises(ValueError, match="not unitary"):
         QuantumChannel.from_unitary(nan)
-    with pytest.raises(ValueError, match="not unitary"):
+    with pytest.raises(ValueError, match="partial_swap angle must be finite"):
         channel_from_id("partial_swap:nan")
     with pytest.raises(ValueError, match="not trace preserving"):
         QuantumChannel.from_kraus([nan])

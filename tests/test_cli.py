@@ -8,6 +8,8 @@ from pdmcausal.channels import (
     QuantumState,
     channel_from_json,
     measure_prepare_z,
+    random_channel,
+    random_pure_state,
     random_semicausal,
     random_state,
 )
@@ -128,6 +130,19 @@ def test_classify_rank_tol_flag(tmp_path, capsys):
     verdict = json.loads(text)
     assert verdict["unique_forward"] is False
     assert verdict["thresholds"]["rank_tol"] == 1e-2
+
+
+def test_classify_rank_tol_under_the_pinv_cut_exits_2(tmp_path, capsys):
+    # a pure qubit's marginal eigenvalue of about 1e-17 lies above rank_tol 0
+    # but under the pinv cut, so no solved member is trace preserving
+    r = pdm_closed_form(random_pure_state(2, 0), random_channel(2, 1000))
+    path = tmp_path / "R.json"
+    path.write_text(json.dumps(pdm_to_json(r)))
+    code, out, err = run(["infer", "classify", "--in", str(path), "--rank-tol", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("numerical inconsistency: no trace-preserving member (floor")
+    assert "rank_tol 0)" in err
+    assert run(["infer", "classify", "--in", str(path)], capsys)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -251,6 +266,23 @@ def test_grid_flag_the_scenario_ignores_is_an_input_error(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and ("--theta" in err or "--lambda" in err)
+
+
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "haar", "--scenario", "fig4", "--n", "2", "--seed", "1", "--theta={}"],
+        ["reproduce", "swap-influence", "--theta={}"],
+    ],
+    ids=["sweep-fig4", "swap-influence"],
+)
+def test_a_partial_swap_angle_that_is_not_finite_is_an_input_error(argv, angle, capsys):
+    # rejected before np.cos warns, which the suite's filterwarnings turns
+    # into an error
+    code, out, err = run([a.format(angle) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: partial_swap angle must be finite")
 
 
 CHOI_OF_MEASURE_PREPARE = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0])))

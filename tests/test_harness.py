@@ -1,7 +1,9 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pdmcausal import harness
@@ -132,6 +134,20 @@ def test_fig4_rejects_a_repeated_angle(thetas):
 def test_haar_sweep_needs_a_seed():
     with pytest.raises(TypeError):
         harness.run_haar_sweep("fig3", n=2)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, 1.0, "1"])
+def test_haar_sweep_rejects_a_seed_that_is_not_an_integer(seed):
+    # int(seed) would key the streams, so 1.5 and True ran seed 1's samples
+    # while the summary echoed the seed as given
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+        harness.run_haar_sweep("fig3", n=2, seed=seed)
+
+
+def test_haar_sweep_accepts_a_numpy_integer_seed():
+    assert harness.run_haar_sweep("fig3", n=2, seed=np.uint64(7))[0] == (
+        harness.run_haar_sweep("fig3", n=2, seed=7)[0]
+    )
 
 
 def test_write_rows_rejects_unknown_format():

@@ -338,17 +338,60 @@ def test_sdp_consistency_check_matches_extraction(r):
 
 @settings(max_examples=40, deadline=None)
 @given(kernel_perturbed_pdms(near_singular=True))
-def test_unique_route_rejects_exactly_what_extraction_rejects(r):
-    exact = Thresholds(rank_tol=0.0)  # the tiny eigenvalues count as full rank
-    try:
-        extract_choi(r, exact)
-    except NumericalInconsistencyError:
-        with pytest.raises(NumericalInconsistencyError):
-            inference._evidence(r, exact)
-    else:
-        res = inference._evidence(r, exact)
-        assert res.route == "unique"
-        assert res.residual <= RESIDUAL_LIMIT
+def test_unique_route_rejects_a_marginal_eigenvalue_under_the_cut(r):
+    # rank_tol = 0 counts the tiny eigenvalues as full rank, but the pinv cut
+    # zeroes their block, so no solved member is trace preserving; the
+    # minimum-norm extraction passes or fails on the perturbation alone
+    exact = Thresholds(rank_tol=0.0)
+    assert (r._marginals[0][1] > exact.rank_tol).all()
+    with pytest.raises(NumericalInconsistencyError):
+        sdp_least_negative(r, exact, decide=True)
+    with pytest.raises(NumericalInconsistencyError):
+        classify(r, exact)
+
+
+def test_rank_tol_under_the_cut_raises_instead_of_dropping_the_cause():
+    # a pure qubit's smallest marginal eigenvalue lies above rank_tol 0 but
+    # under the pinv cut: the solved member misses trace preservation by 1,
+    # and its witness of -0.160 used to give [4, 5]
+    r = pdm_closed_form(random_pure_state(2, 0), random_channel(2, 1000))
+    exact = Thresholds(rank_tol=0.0)
+    assert 0 < r._marginals[0][1][0] <= inference.PINV_RCOND
+    assert extract_choi(r, exact).unique  # the minimum-norm solve passes
+    with pytest.raises(NumericalInconsistencyError, match=r"floor 1\.000e\+00, rank_tol 0\)"):
+        classify(r, exact)
+    assert classify(r).compatible == {CausalStructure.A_TO_B}
+
+
+@st.composite
+def full_rank_pdms(draw):
+    """Full-rank one- or two-qubit first state through a random channel."""
+    dim = 2 ** draw(st.integers(1, 2))
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rho = full_rank_state(dim, rng)
+    return pdm_closed_form(rho, random_channel(dim, rng, kraus_count=draw(st.integers(1, dim * dim))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(full_rank_pdms())
+def test_sdp_returns_the_one_member_of_a_full_rank_family(r):
+    # no projection and no search: the member classify reports, bit for bit
+    res = sdp_least_negative(r)
+    assert (res.route, res.iterations, res.converged, res.unique) == ("unique", 0, True, True)
+    evidence = []
+    original = inference.sdp_least_negative
+
+    def spy(*args, **kwargs):
+        evidence.append(original(*args, **kwargs))
+        return evidence[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "sdp_least_negative", spy)
+        verdict = classify(r)
+    forward = evidence[0]
+    assert verdict.route_forward == forward.route == "unique"
+    assert res.choi.data.tobytes() == forward.choi.data.tobytes()
+    assert res.min_eig_transposed == forward.min_eig_transposed == verdict.min_eig_forward
 
 
 @st.composite
@@ -540,21 +583,30 @@ def test_classify_certifies_b_reaching_the_kernel_of_c(eps_pos):
 # ---------------------------------------------------------------------------
 
 def test_classify_rank_tol_selects_sdp_route(monkeypatch):
+    # one decision per orientation; only a rank-deficient family reaches Schur
     r = pdm_closed_form(QuantumState.of(np.diag([0.999, 0.001])), measure_prepare_z())
-    calls = []
-    original = inference.sdp_least_negative
+    sdp_calls, schur_calls = [], []
+    original_sdp = inference.sdp_least_negative
+    original_schur = inference._schur_decision
 
-    def spy(pdm, thresholds, **kwargs):
-        calls.append(pdm.slots[0].label)
-        return original(pdm, thresholds, **kwargs)
+    def spy_sdp(pdm, thresholds, **kwargs):
+        sdp_calls.append((pdm.slots[0].label, kwargs))
+        return original_sdp(pdm, thresholds, **kwargs)
 
-    monkeypatch.setattr(inference, "sdp_least_negative", spy)
+    def spy_schur(basis, t, rank_tol):
+        schur_calls.append(basis.k)
+        return original_schur(basis, t, rank_tol)
+
+    monkeypatch.setattr(inference, "sdp_least_negative", spy_sdp)
+    monkeypatch.setattr(inference, "_schur_decision", spy_schur)
+    decided = [("t1", {"decide": True}), ("t2", {"decide": True})]
     default = classify(r)
     assert default.unique_forward and default.unique_reverse
-    assert calls == []
+    assert sdp_calls == decided and schur_calls == []
+    sdp_calls.clear()
     loose = classify(r, Thresholds(rank_tol=1e-2))
     assert not loose.unique_forward and not loose.unique_reverse
-    assert calls == ["t1", "t2"]
+    assert sdp_calls == decided and schur_calls == [1, 1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -597,33 +649,33 @@ def test_verdict_reports_the_residual_of_a_loose_rank_tol():
 
 def test_classify_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
     # rank-1 first state through a channel with a full-rank output: forward
-    # takes the SDP route, reverse the unique route
+    # is decided by Schur, reverse is its unique member
     rng = generator(31)
     r = pdm_closed_form(random_state(4, rng, rank=1, factors=(2, 2)), random_channel(4, rng))
-    extractions, sdp_calls, pinvs = [], [], []
+    extractions, schur_calls, pinvs = [], [], []
     original_extract = inference.extract_choi
-    original_sdp = inference.sdp_least_negative
+    original_schur = inference._schur_decision
     original_pinv = np.linalg.pinv
 
     def spy_extract(*args, **kwargs):
         extractions.append(1)
         return original_extract(*args, **kwargs)
 
-    def spy_sdp(pdm, thresholds, **kwargs):
-        sdp_calls.append(pdm.slots[0].label)
-        return original_sdp(pdm, thresholds, **kwargs)
+    def spy_schur(basis, t, rank_tol):
+        schur_calls.append(basis.k)
+        return original_schur(basis, t, rank_tol)
 
     def spy_pinv(*args, **kwargs):
         pinvs.append(1)
         return original_pinv(*args, **kwargs)
 
     monkeypatch.setattr(inference, "extract_choi", spy_extract)
-    monkeypatch.setattr(inference, "sdp_least_negative", spy_sdp)
+    monkeypatch.setattr(inference, "_schur_decision", spy_schur)
     monkeypatch.setattr(np.linalg, "pinv", spy_pinv)
     verdict = classify(r)
     assert not verdict.unique_forward and verdict.unique_reverse
     assert verdict.route_reverse == "unique"
-    assert sdp_calls == ["t1"]
+    assert schur_calls == [3]  # the forward family, over the rank-1 state's kernel
     assert extractions == []
     assert pinvs == []
 
