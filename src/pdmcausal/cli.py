@@ -71,7 +71,8 @@ def _load_channel(source: str):
     try:
         return channel_from_id(source)
     except ValueError:
-        pass
+        if source.startswith("partial_swap:"):  # an id with a bad angle, not a path
+            raise
     return channel_from_json(_load_json(source))
 
 

@@ -14,7 +14,8 @@ the input-transposed family, whose eigenvalues are the CP witness: a full-rank
 family is its one member; otherwise it searches the free block for the
 least-negative member by operator splitting or, asked to decide, settles by a
 Schur complement whether some member is CP within eps_pos (a member proves a
-yes, a dual (Farkas) certificate a no).  ``classify`` asks it both ways.
+yes, a dual (Farkas) certificate a no).  ``classify`` decides both
+orientations, the full-rank ones in one stacked pass (``_unique_members``).
 
 Classification compares the negativity of the PDM with the positivity of
 the forward and time-reversed extracted matrices:
@@ -29,7 +30,8 @@ the forward and time-reversed extracted matrices:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -65,6 +67,8 @@ class CausalStructure(IntEnum):
 
 
 _MIRROR = {1: 2, 2: 1, 3: 3, 4: 5, 5: 4}
+# (forward CP, reverse CP) of a negative PDM -> the compatible structures
+_DIRECTED = {(True, False): (1,), (False, True): (2,), (True, True): (1, 2), (False, False): (4, 5)}
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,7 @@ class Thresholds:
                 raise ValueError(f"threshold {name} must be finite and >= 0, got {value}")
 
     def to_json(self) -> dict:
-        return {
-            "eps_neg": self.eps_neg,
-            "eps_pos": self.eps_pos,
-            "rank_tol": self.rank_tol,
-            "product_tol": self.product_tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +187,8 @@ def extract_choi(
     unique = ~_rank_deficient(w, thresholds).any(axis=-1)
     min_eig = np.linalg.eigvalsh(_input_transpose(m, din, dout)).min(axis=-1)
     results = tuple(
-        ExtractionResult(
-            ComplexMatrix._trusted(m[k], (din, dout)),
-            residuals[k],
-            bool(unique[k]),
-            float(min_eig[k]),
-        )
-        for k in range(len(seq))
+        ExtractionResult(ComplexMatrix._trusted(mk, (din, dout)), res, bool(one), float(low))
+        for mk, res, one, low in zip(m, residuals, unique, min_eig)
     )
     return results[0] if single else results
 
@@ -211,64 +205,93 @@ def _neg_part_trace(w: np.ndarray) -> float:
 def _jordan_solve(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Solve (diag(lam) M + M diag(lam))/2 = r entrywise, as the Jordan pinv does.
 
-    ``r`` and ``M`` are written in the eigenbasis of rho, whose eigenvalues
-    are ``lam``.  Entry (a, b) is 2 r_ab / (lam_a + lam_b); entries whose
-    mean |lam_a + lam_b| / 2 is at most PINV_RCOND times the largest mean
-    are cut to zero, the cut the pseudo-inverse makes on the Jordan matrix's
-    eigenvalues.  The norm of ``r`` on the cut entries is the residual the
-    pinv solution leaves, so ``_check_residual`` rejects what ``extract_choi`` does.
+    ``r``, ``M`` and ``lam`` are stacks, each in the eigenbasis of its rho,
+    whose eigenvalues are ``lam``.  Entry (a, b) is 2 r_ab / (lam_a + lam_b);
+    entries whose mean |lam_a + lam_b| / 2 is at most PINV_RCOND times the
+    largest mean of their matrix are cut to zero, the cut the pseudo-inverse
+    makes on the Jordan matrix's eigenvalues.  The norm of each ``r`` on its
+    cut entries is the residual the pinv solution leaves, so
+    ``_check_residual`` rejects what ``extract_choi`` does.
     """
-    mean = 0.5 * (lam[:, None] + lam[None, :])
+    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
     size = np.abs(mean)
-    cut = size <= PINV_RCOND * size.max()
-    _check_residual(float(np.linalg.norm(r[cut])))
+    cut = size <= PINV_RCOND * size.max(axis=(-2, -1), keepdims=True)
+    for i in np.flatnonzero(cut.any(axis=(-2, -1))):
+        _check_residual(float(np.linalg.norm(r[i][cut[i]])))
     return np.where(cut, 0.0, r / np.where(cut, 1.0, mean))
 
 
-class _Eigenbasis(NamedTuple):
-    """A two-slot PDM written in the eigenbasis U = v tensor I of rho = marginal tensor I.
+def _free_count(pdm: PDM, thresholds: Thresholds) -> int:
+    """Stored first-marginal eigenvalues at most rank_tol, the route rule: 0
+    is a one-member family; k > 0 frees k*dout leading rows in ``_eigenbasis``."""
+    return int(_rank_deficient(pdm._marginals[0][1], thresholds).sum())
 
-    ``fixed`` is the input transpose of the entrywise solution of the Jordan
-    equation there (``_jordan_solve``, which rejects an inconsistent PDM),
-    so its eigenvalues are the CP witness; ``k`` is the number of the PDM's
-    stored marginal eigenvalues at most rank_tol, the count ``classify``
-    routes on (``eigh`` may round them differently in the last bits).  Both
-    sort ascending, so these come first and the free block of the family is
-    the leading k*dout rows and columns of ``fixed``; the input transpose
-    maps that block to itself.
-    """
+
+class _Eigenbasis(NamedTuple):
+    """Stacked two-slot PDMs ``data`` (stored marginals ``marg``) in the
+    eigenbasis U = v tensor I of each rho.  ``fixed`` is the input transpose
+    of the Jordan solution there, so its eigenvalues are the CP witness; they
+    sort ascending, so a family's free block (``_free_count``) comes first."""
 
     din: int
     dout: int
+    data: np.ndarray
+    marg: np.ndarray
     u: np.ndarray
     fixed: np.ndarray
-    k: int
 
 
-def _eigenbasis(pdm: PDM, thresholds: Thresholds) -> _Eigenbasis:
-    din, dout = _two_slot_dims(pdm)
-    w, v = np.linalg.eigh(pdm._marginals[0][0])
+def _eigenbasis(pdms: Sequence[PDM]) -> _Eigenbasis:
+    din, dout = _two_slot_dims(pdms[0])
+    data = np.array([p.mat.data for p in pdms])
+    marg = np.array([p._marginals[0][0] for p in pdms])
+    w, v = np.linalg.eigh(marg)
     u = _kron_eye(v, dout)
-    r = u.conj().T @ pdm.mat.data @ u
-    fixed = _jordan_solve(0.5 * (r + r.conj().T), np.repeat(w, dout))
-    k = int(_rank_deficient(pdm._marginals[0][1], thresholds).sum())
-    return _Eigenbasis(din, dout, u, _input_transpose(fixed, din, dout), k)
+    r = u.conj().swapaxes(-2, -1) @ data @ u
+    fixed = _jordan_solve(0.5 * (r + r.conj().swapaxes(-2, -1)), np.repeat(w, dout, axis=-1))
+    return _Eigenbasis(din, dout, data, marg, u, _input_transpose(fixed, din, dout))
 
 
-def _in_pdm_basis(pdm: PDM, basis: _Eigenbasis, x: np.ndarray):
-    """Rotate an input-transposed member back to the PDM's basis.
+def _check_floor(x0: np.ndarray, din: int, dout: int, rank_tol: float) -> None:
+    """Raise unless each input-transposed member in ``x0`` (one or a stack)
+    has Tr_out = I, so that its family holds a trace-preserving member."""
+    defect = x0.reshape(-1, din, dout, din, dout).trace(axis1=2, axis2=4)
+    defect -= np.eye(din)
+    for floor in map(np.linalg.norm, defect):
+        if floor > RESIDUAL_LIMIT:
+            raise NumericalInconsistencyError(
+                f"no trace-preserving member (floor {floor:.3e}, rank_tol {rank_tol:g})"
+            )
 
-    Returns it with its residual against the PDM and the eigenvalues of its
-    input transpose, which are those of ``x``: the input transpose of
-    U N U^H is conj(U) T(N) conj(U)^H.
-    """
-    din, dout = basis.din, basis.dout
+
+def _in_pdm_basis(basis: _Eigenbasis, x: np.ndarray):
+    """Rotate a stack of input-transposed members, one per PDM, back; with
+    each one's residual against its PDM and the eigenvalues of ``x``, which
+    are the witness: the input transpose of U N U^H is conj(U) T(N) conj(U)^H."""
+    din, dout, u = basis.din, basis.dout, basis.u
     eigs = np.linalg.eigvalsh(x)
-    n = basis.u @ _input_transpose(x, din, dout) @ basis.u.conj().T
-    n = 0.5 * (n + n.conj().T)
-    rho = _kron_eye(pdm._marginals[0][0], dout)
-    residual = float(np.linalg.norm(0.5 * (rho @ n + n @ rho) - pdm.mat.data))
-    return ComplexMatrix._trusted(n, (din, dout)), residual, eigs
+    n = u @ _input_transpose(x, din, dout) @ u.conj().swapaxes(-2, -1)
+    n = 0.5 * (n + n.conj().swapaxes(-2, -1))
+    rho = _kron_eye(basis.marg, dout)
+    defect = 0.5 * (rho @ n + n @ rho) - basis.data
+    chois = [ComplexMatrix._trusted(m, (din, dout)) for m in n]
+    # one norm per member: a norm over the stack rounds differently
+    return chois, [float(np.linalg.norm(d)) for d in defect], eigs
+
+
+def _unique_members(pdms: Sequence[PDM], thresholds: Thresholds) -> list[ExtractionResult]:
+    """Evidence of full-rank families (``_free_count`` 0), each its one member:
+    one ``eigh``, rotation, Jordan solve, floor check, witness and rotation
+    back for the whole stack, and each result bit for bit its PDM's alone."""
+    if not pdms:
+        return []
+    basis = _eigenbasis(pdms)
+    _check_floor(basis.fixed, basis.din, basis.dout, thresholds.rank_tol)
+    chois, residuals, eigs = _in_pdm_basis(basis, basis.fixed)
+    return [
+        ExtractionResult(choi, res, True, float(e.min()), _neg_part_trace(e), 0, True, "unique")
+        for choi, res, e in zip(chois, residuals, eigs)
+    ]
 
 
 class _Anderson:
@@ -325,23 +348,25 @@ class _Anderson:
         return step.view(np.complex128).reshape(shape)
 
 
-def _schur_decision(basis: _Eigenbasis, t: float, rank_tol: float):
-    """Decide whether some member T(N) of ``basis``'s family has T(N) >= t I.
+def _schur_decision(fixed: np.ndarray, k: int, dout: int, t: float, rank_tol: float):
+    """Decide whether some member T(N) of a family has T(N) >= t I.
 
-    Members are [[A, B], [B^H, C]] with B, C fixed and Tr_out A = I_k.  P is
-    the pseudo-inverse of C - tI that cuts its kernel K (eigenvalues at most
-    rank_tol) and Q = (1 - t dout) I - Tr_out(B P B^H).  A yes is (True, the
-    member A = tI + B P B^H + Q tensor I / dout, None): the Schur complement
-    of C - tI in it is PSD (Boyd & Vandenberghe, App. A.5.5).  A no is
+    The family is one PDM's in ``_eigenbasis``: ``fixed`` with its leading
+    k*dout rows and columns free.  Members are [[A, B], [B^H, C]] with B, C
+    fixed and Tr_out A = I_k.  P is the pseudo-inverse of C - tI that cuts its
+    kernel K (eigenvalues at most rank_tol) and
+    Q = (1 - t dout) I - Tr_out(B P B^H).  A yes is (True, the member
+    A = tI + B P B^H + Q tensor I / dout, None): the Schur complement of
+    C - tI in it is PSD (Boyd & Vandenberghe, App. A.5.5).  A no is
     (False, W, bound), W = sum_o z_o z_o^H with free block M tensor I, so
     c = <W, T(N)> is one value on the family and bound = c / Tr W < t caps
     every witness.  No when C has an eigenvalue below t (z its eigenvector);
     when B reaches K: z_o = [a y_o; -P_K B^H y_o], y_o = u tensor e_o, u the
-    top eigenvector of Tr_out(B P_K B^H); or when Q is not PSD: z_o = [y_o;
-    -P B^H y_o], u the eigenvector of Q's least eigenvalue, u^H Q u, which is
-    <W, T(N) - tI>.  The bound is t plus this negative excess over Tr W.
+    top eigenvector of Tr_out(B P_K B^H); or when Q is not PSD:
+    z_o = [y_o; -P B^H y_o], u the eigenvector of Q's least eigenvalue,
+    u^H Q u, which is <W, T(N) - tI>.  The bound is t plus this negative
+    excess over Tr W.
     """
-    k, dout, fixed = basis.k, basis.dout, basis.fixed
     kd = k * dout
     lam, v = np.linalg.eigh(fixed[kd:, kd:])
     shifted = lam - t
@@ -381,24 +406,20 @@ def sdp_least_negative(
     """Least-negative member of the affine Choi solution family.
 
     The family is the forward one, from the first slot to the second; the
-    reverse family is that of ``time_reverse(pdm)``.  A full-rank family (no
-    stored marginal eigenvalue at most rank_tol) is its one member, returned
-    at once with route ``unique`` and 0 iterations.
+    reverse family is that of ``time_reverse(pdm)``.  A full-rank family
+    (``_free_count`` 0) is its one member, from ``_unique_members`` with
+    route ``unique`` and 0 iterations.
 
-    Minimizes the trace of the negative part of the input-transposed matrix
-    over Hermitian, trace-preserving solutions of J vec(N) = vec(R), by
-    Douglas-Rachford splitting: alternate exact projection onto the affine
-    set with the eigenvalue-clipping prox of the objective; the step is
-    Anderson accelerated (``_Anderson``).
-
-    The search runs on the input transpose of the family in the marginal's
-    eigenbasis (``_eigenbasis``), where every entry outside the free block is
-    fixed.  The input transpose maps the block to itself and A tensor I to
-    A^T tensor I, so the projection keeps the fixed entries and the Hermitian
-    part of the block, shifted by (Tr_out(block) - I) tensor I / dout to
-    restore Tr_out = I; the witness is the iterate's eigenvalues and the prox
-    a plain eigenvalue clip.  The result is rotated back once and its
-    residual measured against the PDM.
+    Otherwise it minimizes the trace of the negative part of the
+    input-transposed matrix over Hermitian, trace-preserving solutions of
+    J vec(N) = vec(R) by Anderson-accelerated (``_Anderson``) Douglas-Rachford
+    splitting, in the family's ``_eigenbasis``, where every entry outside the
+    free block is fixed.  The input transpose maps the block to itself and
+    A tensor I to A^T tensor I, so the projection keeps the fixed entries and
+    the Hermitian part of the block, shifted by (Tr_out(block) - I) tensor
+    I / dout to restore Tr_out = I; the witness is the iterate's eigenvalues
+    and the prox a plain eigenvalue clip.  The result is rotated back once and
+    its residual measured against the PDM.
 
     Raises NumericalInconsistencyError when no member is trace preserving
     (the floor), as when a marginal eigenvalue lies above rank_tol but under
@@ -412,8 +433,11 @@ def sdp_least_negative(
     returned with witness -eps_pos, the bound its Schur complement certifies.
     The run to the optimum has route None.
     """
-    basis = _eigenbasis(pdm, thresholds)
-    din, dout, fixed, k = basis.din, basis.dout, basis.fixed, basis.k
+    k = _free_count(pdm, thresholds)
+    if not k:
+        return _unique_members((pdm,), thresholds)[0]
+    basis = _eigenbasis((pdm,))
+    din, dout, fixed = basis.din, basis.dout, basis.fixed[0]
     kd = k * dout
     eye_k = np.eye(k)
 
@@ -424,22 +448,15 @@ def sdp_least_negative(
         y[:kd, :kd] = block - _kron_eye(shift, dout) / dout
         return y
 
-    x0 = project(np.zeros_like(fixed)) if k else fixed
-    floor = float(np.linalg.norm(_partial_trace(x0, (din, dout), (0,)) - np.eye(din)))
-    if floor > RESIDUAL_LIMIT:
-        raise NumericalInconsistencyError(
-            f"no trace-preserving member (floor {floor:.3e}, rank_tol {thresholds.rank_tol:g})"
-        )
-    if not k:
-        choi, residual, eigs = _in_pdm_basis(pdm, basis, fixed)
-        min_eig, objective = float(eigs.min()), _neg_part_trace(eigs)
-        return ExtractionResult(choi, residual, True, min_eig, objective, 0, True, "unique")
+    x0 = project(np.zeros_like(fixed))
+    _check_floor(x0, din, dout, thresholds.rank_tol)
     t = -thresholds.eps_pos + 0.0  # no -0.0 at eps_pos = 0
     if decide:
-        cp, decision, bound = _schur_decision(basis, t, thresholds.rank_tol)
+        cp, decision, bound = _schur_decision(fixed, k, dout, t, thresholds.rank_tol)
         if not cp:
-            choi, residual, eigs = _in_pdm_basis(pdm, basis, x0)
-            cert = ComplexMatrix._trusted(basis.u.conj() @ decision @ basis.u.T, (din, dout))
+            (choi,), (residual,), (eigs,) = _in_pdm_basis(basis, x0[None])
+            u = basis.u[0]
+            cert = ComplexMatrix._trusted(u.conj() @ decision @ u.T, (din, dout))
             objective = _neg_part_trace(eigs)
             return ExtractionResult(
                 choi, residual, False, bound, objective, 0, True, "certified_not_cp", cert
@@ -487,7 +504,7 @@ def sdp_least_negative(
         member, converged, min_eig, route = decision, True, t, "certified_cp"
     else:
         member, min_eig = best, None
-    choi, residual, member_eigs = _in_pdm_basis(pdm, basis, project(member))
+    (choi,), (residual,), (member_eigs,) = _in_pdm_basis(basis, project(member)[None])
     if min_eig is None:
         min_eig = float(member_eigs.min())
     return ExtractionResult(
@@ -528,21 +545,12 @@ class CausalVerdict:
         return frozenset(CausalStructure(_MIRROR[int(c)]) for c in self.compatible)
 
     def to_json(self) -> dict:
-        return {
-            "compatible": sorted(int(c) for c in self.compatible),
-            "f": self.f,
-            "min_eig_forward": self.min_eig_forward,
-            "min_eig_reverse": self.min_eig_reverse,
-            "unique_forward": self.unique_forward,
-            "unique_reverse": self.unique_reverse,
-            "route_forward": self.route_forward,
-            "route_reverse": self.route_reverse,
-            "residual_forward": self.residual_forward,
-            "residual_reverse": self.residual_reverse,
-            "correlated": self.correlated,
-            "compatible_reversed": sorted(int(c) for c in self.compatible_reversed),
-            "thresholds": self.thresholds.to_json(),
-        }
+        """The fields in order, the structure sets as sorted ints."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["compatible"] = sorted(int(c) for c in self.compatible)
+        out["compatible_reversed"] = sorted(int(c) for c in self.compatible_reversed)
+        out["thresholds"] = out.pop("thresholds").to_json()
+        return out
 
 
 def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
@@ -551,42 +559,33 @@ def classify(pdm: PDM, thresholds: Thresholds = Thresholds()) -> CausalVerdict:
     Negativity below eps_neg keeps only the common-cause structure; with
     negativity, the signs of the extracted forward/reverse matrices decide
     between directed causation and a mixed structure.  The reverse test is
-    the forward test on the time-reversed PDM (``sdp_least_negative``).  A
-    full-rank first marginal fixes the extracted matrix; a rank-deficient one
-    leaves a family, and the least-negative completion decides whether it has
-    a CP member.
+    the forward test on the PDM reversed once.  Full-rank orientations share
+    one stacked pass (``_unique_members``); ``sdp_least_negative`` decides
+    each rank-deficient one alone.  Either way the evidence is, bit for bit,
+    ``sdp_least_negative(oriented, thresholds, decide=True)``.
     """
     if len(pdm.slots) != 2:
         raise ValueError("classification is defined for exactly two slots")
-    reversed_ = time_reverse(pdm)
+    oriented = (pdm, time_reverse(pdm))
     f = negativity(pdm)
     (r_a, _), (r_b, _) = pdm._marginals
-    product = np.kron(r_a, r_b)
+    product = (r_a[:, None, :, None] * r_b[None, :, None, :]).reshape(pdm.mat.data.shape)
     correlated = bool(max_abs_diff(pdm.mat.data, product) > thresholds.product_tol)
 
-    fwd = sdp_least_negative(pdm, thresholds, decide=True)
-    rev = sdp_least_negative(reversed_, thresholds, decide=True)
+    free = [_free_count(o, thresholds) for o in oriented]
+    unique = iter(_unique_members([o for o, k in zip(oriented, free) if not k], thresholds))
+    fwd, rev = (
+        sdp_least_negative(o, thresholds, decide=True) if k else next(unique)
+        for o, k in zip(oriented, free)
+    )
 
     if not correlated:
         compatible = frozenset(CausalStructure)
     elif f <= thresholds.eps_neg:
         compatible = frozenset({CausalStructure.COMMON_CAUSE})
     else:
-        fwd_ok = fwd.min_eig_transposed >= -thresholds.eps_pos
-        rev_ok = rev.min_eig_transposed >= -thresholds.eps_pos
-        if fwd_ok and not rev_ok:
-            compatible = frozenset({CausalStructure.A_TO_B})
-        elif rev_ok and not fwd_ok:
-            compatible = frozenset({CausalStructure.B_TO_A})
-        elif fwd_ok and rev_ok:
-            compatible = frozenset({CausalStructure.A_TO_B, CausalStructure.B_TO_A})
-        else:
-            compatible = frozenset(
-                {
-                    CausalStructure.A_TO_B_WITH_COMMON_CAUSE,
-                    CausalStructure.B_TO_A_WITH_COMMON_CAUSE,
-                }
-            )
+        cp = tuple(e.min_eig_transposed >= -thresholds.eps_pos for e in (fwd, rev))
+        compatible = frozenset(CausalStructure(c) for c in _DIRECTED[cp])
     return CausalVerdict(
         compatible=compatible,
         f=f,

@@ -285,6 +285,27 @@ def test_a_partial_swap_angle_that_is_not_finite_is_an_input_error(argv, angle, 
     assert err.startswith("error: partial_swap angle must be finite")
 
 
+@pytest.mark.parametrize(
+    "angle, message",
+    [("inf", "partial_swap angle must be finite"), ("abc", "bad partial_swap angle")],
+)
+def test_pdm_build_reports_a_bad_partial_swap_angle(angle, message, capsys):
+    # a channel id with a bad angle is reported as such, not retried as a path
+    argv = ["pdm", "build", "--state", "bell", "--channel", f"partial_swap:{angle}"]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}") and "cannot read JSON" not in err
+
+
+def test_pdm_build_loads_a_channel_json_file(tmp_path, capsys):
+    path = tmp_path / "swap.json"
+    swap = matrix_to_json(ComplexMatrix(np.eye(4)[[0, 2, 1, 3]], (2, 2)))
+    path.write_text(json.dumps({"rep": "unitary", "dim_in": 4, "dim_out": 4, "matrices": [swap]}))
+    code, from_file, err = run(["pdm", "build", "--state", "bell", "--channel", str(path)], capsys)
+    assert code == 0 and err == ""
+    assert from_file == run(["pdm", "build", "--state", "bell", "--channel", "swap"], capsys)[1]
+
+
 CHOI_OF_MEASURE_PREPARE = matrix_to_json(ComplexMatrix(np.diag([1.0, 0, 0, 1.0])))
 # the transpose map: trace preserving and Hermitian, but its input transpose
 # is the swap, with eigenvalue -1

@@ -375,22 +375,31 @@ def full_rank_pdms(draw):
 @settings(max_examples=20, deadline=None)
 @given(full_rank_pdms())
 def test_sdp_returns_the_one_member_of_a_full_rank_family(r):
-    # no projection and no search: the member classify reports, bit for bit
+    # no projection and no search: the member classify reports from its
+    # stacked unique route, bit for bit, with no decision call of its own
     res = sdp_least_negative(r)
     assert (res.route, res.iterations, res.converged, res.unique) == ("unique", 0, True, True)
-    evidence = []
-    original = inference.sdp_least_negative
+    stacks, decided = [], []
+    original_unique = inference._unique_members
+    original_sdp = inference.sdp_least_negative
 
-    def spy(*args, **kwargs):
-        evidence.append(original(*args, **kwargs))
-        return evidence[-1]
+    def spy_unique(pdms, thresholds):
+        stacks.append(original_unique(pdms, thresholds))
+        return stacks[-1]
+
+    def spy_sdp(pdm, *args, **kwargs):
+        decided.append(pdm.slots[0].label)
+        return original_sdp(pdm, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(inference, "sdp_least_negative", spy)
+        mp.setattr(inference, "_unique_members", spy_unique)
+        mp.setattr(inference, "sdp_least_negative", spy_sdp)
         verdict = classify(r)
-    forward = evidence[0]
+    assert len(stacks) == 1 and "t1" not in decided
+    forward = stacks[0][0]
     assert verdict.route_forward == forward.route == "unique"
     assert res.choi.data.tobytes() == forward.choi.data.tobytes()
+    assert (res.residual, res.objective) == (forward.residual, forward.objective)
     assert res.min_eig_transposed == forward.min_eig_transposed == verdict.min_eig_forward
 
 
@@ -583,30 +592,58 @@ def test_classify_certifies_b_reaching_the_kernel_of_c(eps_pos):
 # ---------------------------------------------------------------------------
 
 def test_classify_rank_tol_selects_sdp_route(monkeypatch):
-    # one decision per orientation; only a rank-deficient family reaches Schur
+    # full-rank orientations share one stacked pass; only a rank-deficient
+    # family is decided on its own, and only it reaches Schur
     r = pdm_closed_form(QuantumState.of(np.diag([0.999, 0.001])), measure_prepare_z())
-    sdp_calls, schur_calls = [], []
+    sdp_calls, schur_calls, stacks, reversals, inversions = [], [], [], [], []
     original_sdp = inference.sdp_least_negative
     original_schur = inference._schur_decision
+    original_unique = inference._unique_members
+    original_reverse = inference.time_reverse
+    original_extract = inference.extract_choi
+    original_pinv = np.linalg.pinv
 
     def spy_sdp(pdm, thresholds, **kwargs):
         sdp_calls.append((pdm.slots[0].label, kwargs))
         return original_sdp(pdm, thresholds, **kwargs)
 
-    def spy_schur(basis, t, rank_tol):
-        schur_calls.append(basis.k)
-        return original_schur(basis, t, rank_tol)
+    def spy_schur(fixed, k, dout, t, rank_tol):
+        schur_calls.append(k)
+        return original_schur(fixed, k, dout, t, rank_tol)
 
+    def spy_unique(pdms, thresholds):
+        stacks.append([p.slots[0].label for p in pdms])
+        return original_unique(pdms, thresholds)
+
+    def spy_reverse(pdm):
+        reversals.append(1)
+        return original_reverse(pdm)
+
+    def spy_extract(*args, **kwargs):
+        inversions.append("extract_choi")
+        return original_extract(*args, **kwargs)
+
+    def spy_pinv(*args, **kwargs):
+        inversions.append("pinv")
+        return original_pinv(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "extract_choi", spy_extract)
+    monkeypatch.setattr(np.linalg, "pinv", spy_pinv)
     monkeypatch.setattr(inference, "sdp_least_negative", spy_sdp)
     monkeypatch.setattr(inference, "_schur_decision", spy_schur)
-    decided = [("t1", {"decide": True}), ("t2", {"decide": True})]
+    monkeypatch.setattr(inference, "_unique_members", spy_unique)
+    monkeypatch.setattr(inference, "time_reverse", spy_reverse)
     default = classify(r)
     assert default.unique_forward and default.unique_reverse
-    assert sdp_calls == decided and schur_calls == []
-    sdp_calls.clear()
+    assert stacks == [["t1", "t2"]] and sdp_calls == [] and schur_calls == []
+    assert reversals == [1] and inversions == []
+    stacks.clear()
+    reversals.clear()
     loose = classify(r, Thresholds(rank_tol=1e-2))
     assert not loose.unique_forward and not loose.unique_reverse
-    assert sdp_calls == decided and schur_calls == [1, 1]
+    decided = [("t1", {"decide": True}), ("t2", {"decide": True})]
+    assert stacks == [[]] and sdp_calls == decided and schur_calls == [1, 1]
+    assert reversals == [1] and inversions == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -620,11 +657,13 @@ def test_free_block_counts_the_stored_marginal_eigenvalues(seed, index):
     r = pdm_closed_form(random_state(4, rng, rank=4, factors=(2, 2)), random_channel(4, rng))
     stored = r._marginals[0][1]
     th = Thresholds(rank_tol=float(stored[index]))
-    basis = inference._eigenbasis(r, th)
-    assert basis.k == int((stored <= th.rank_tol).sum()) >= 1
-    cp, _, _ = inference._schur_decision(basis, -th.eps_pos, th.rank_tol)
-    if basis.k == 4:
+    k = inference._free_count(r, th)
+    assert k == int((stored <= th.rank_tol).sum()) >= 1
+    basis = inference._eigenbasis((r,))
+    cp, _, _ = inference._schur_decision(basis.fixed[0], k, basis.dout, -th.eps_pos, th.rank_tol)
+    if k == 4:
         assert cp  # the family holds I tensor I / dout
+    assert sdp_least_negative(r, th, decide=True).route in ("certified_cp", "certified_not_cp")
 
 
 def test_classify_with_every_marginal_eigenvalue_free():
@@ -661,9 +700,9 @@ def test_classify_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
         extractions.append(1)
         return original_extract(*args, **kwargs)
 
-    def spy_schur(basis, t, rank_tol):
-        schur_calls.append(basis.k)
-        return original_schur(basis, t, rank_tol)
+    def spy_schur(fixed, k, dout, t, rank_tol):
+        schur_calls.append(k)
+        return original_schur(fixed, k, dout, t, rank_tol)
 
     def spy_pinv(*args, **kwargs):
         pinvs.append(1)
@@ -678,6 +717,54 @@ def test_classify_neither_extracts_nor_inverts_the_jordan_matrix(monkeypatch):
     assert schur_calls == [3]  # the forward family, over the rank-1 state's kernel
     assert extractions == []
     assert pinvs == []
+
+
+# (unique_forward, unique_reverse) at the default thresholds
+ROUTE_MIXES = {
+    "both unique": (True, True),
+    "forward family": (False, True),
+    "reverse family": (True, False),
+    "both families": (False, False),
+}
+
+
+@st.composite
+def route_mix_cases(draw):
+    """A two-qubit-slot PDM of each route mix, with the default thresholds or
+    rank_tol at one of its stored first-marginal eigenvalues (either
+    orientation's, above the pinv cut)."""
+    mix = draw(st.sampled_from(sorted(ROUTE_MIXES)))
+    rng = generator(draw(st.integers(0, 2**32 - 1)))
+    rank = 4 if mix == "both unique" else draw(st.integers(1, 3))
+    # a unitary keeps the output rank-deficient; 16 Ginibre Kraus operators fill it
+    kraus_count = 1 if mix == "both families" else None
+    r = pdm_closed_form(
+        random_state(4, rng, rank=rank, factors=(2, 2)), random_channel(4, rng, kraus_count)
+    )
+    if mix == "reverse family":
+        r = time_reverse(r)
+    th = Thresholds()
+    if draw(st.booleans()):
+        stored = [float(x) for _, w in r._marginals for x in w if x > 1e-6]
+        th = Thresholds(rank_tol=draw(st.sampled_from(stored)))
+    return r, mix, th
+
+
+@settings(max_examples=40, deadline=None)
+@given(route_mix_cases())
+def test_classify_evidence_is_each_orientations_decision_bitwise(case):
+    # the stacked pass over both orientations reports what deciding each
+    # orientation alone reports, to the last bit
+    r, mix, th = case
+    verdict = classify(r, th).to_json()
+    if th == Thresholds():
+        assert (verdict["unique_forward"], verdict["unique_reverse"]) == ROUTE_MIXES[mix]
+    for oriented, side in ((r, "forward"), (time_reverse(r), "reverse")):
+        alone = sdp_least_negative(oriented, th, decide=True)
+        assert verdict[f"route_{side}"] == alone.route
+        assert verdict[f"unique_{side}"] is alone.unique
+        assert verdict[f"min_eig_{side}"].hex() == alone.min_eig_transposed.hex()
+        assert verdict[f"residual_{side}"].hex() == alone.residual.hex()
 
 
 def test_classify_time_reverses_each_reversed_direction_once(monkeypatch):
