@@ -6,6 +6,11 @@ That enumeration is the hot inner loop of the package.  It runs breadth
 first: after ``s`` measured slots every Pauli-prefix state sits in one
 ``(4**(s*n), d, d)`` stack, so each slot costs one broadcast measurement and
 one channel ``einsum`` over the whole stack.
+
+Measuring a Pauli word ``P`` with projectors ``P± = (I ± P)/2`` leaves the
+signed ensemble ``P+ X P+ - P- X P-``, which is the Jordan product
+``(P X + X P)/2``.  Each row and column of ``P`` holds one entry from
+{±1, ±i}, so both products are exact; the one rounding is in their sum.
 """
 
 from __future__ import annotations
@@ -23,19 +28,15 @@ def expectation_tensor(
     ``rho`` is the initial state, ``kraus_steps`` one stacked Kraus array per
     channel between consecutive slots, ``paulis`` the observable table of
     shape (4**n, 2**n, 2**n).  Row ``i1*p**(s-1) + ... + is`` of the state
-    stack holds the signed ensemble after measuring words ``i1..is`` and
-    applying the ``s``-th channel.
+    stack holds the signed ensemble after measuring words ``i1..is``, each
+    word ``P`` on a state ``X`` as ``(P X + X P)/2``, and applying the
+    ``s``-th channel.
     """
     p, d, _ = paulis.shape
-    eye = np.eye(d, dtype=np.complex128)
-    proj_plus = 0.5 * (eye[None, :, :] + paulis)
-    proj_minus = 0.5 * (eye[None, :, :] - paulis)
     states = rho.astype(np.complex128)[None]
     for kraus in kraus_steps:
         stack = states[:, None]
-        signed = (
-            proj_plus @ stack @ proj_plus - proj_minus @ stack @ proj_minus
-        ).reshape(-1, d, d)
+        signed = (0.5 * (paulis @ stack + stack @ paulis)).reshape(-1, d, d)
         states = np.einsum("aij,pjl,aml->pim", kraus, signed, kraus.conj(), optimize=True)
     expectations = np.einsum("nij,kji->nk", states, paulis).real
     return expectations.reshape((p,) * (len(kraus_steps) + 1))

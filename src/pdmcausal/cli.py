@@ -95,7 +95,7 @@ def _thresholds(args) -> Thresholds:
 def _cmd_pdm_build(args) -> int:
     state = _load_state(args.state)
     channels = [_load_channel(c) for c in args.channel]
-    if args.method == "measurements" or not channels:
+    if args.method == "measurements":
         pdm = pdm_from_measurements(state, channels)
     else:
         pdm = pdm_iterative(state, channels)

@@ -192,10 +192,10 @@ def pdm_from_measurements(rho1: QuantumState, channels: Sequence[QuantumChannel]
     """Definitional construction by simulating every measurement tuple.
 
     For each tuple of Pauli words, the signed post-measurement ensemble
-    P+ X P+ - P- X P- is propagated through the channel chain and the final
-    expectation read off; the matrix is then assembled from all 4**(m*n)
-    joint expectations.  Exponential by design; this is the oracle the fast
-    constructions are checked against.
+    (P X + X P)/2, which is P+ X P+ - P- X P-, is propagated through the
+    channel chain and the final expectation read off; the matrix is then
+    assembled from all 4**(m*n) joint expectations.  Exponential by design;
+    this is the oracle the fast constructions are checked against.
     """
     dims = _check_chain(rho1, channels)
     if len(set(dims)) != 1:
@@ -224,10 +224,8 @@ def pdm_iterative(rho1: QuantumState, channels: Sequence[QuantumChannel]) -> PDM
 
     Step j takes the PDM so far, extended by the identity on the new slot,
     and the j-th Choi matrix, lifted by the identity on every slot before
-    its input slot.
+    its input slot.  With no channel it is the one-slot PDM of ``rho1``.
     """
-    if not channels:
-        raise ValueError("need at least one channel")
     dims = _check_chain(rho1, channels)
     data = rho1.mat.data
     for ch, dim_out in zip(channels, dims[1:]):

@@ -59,6 +59,26 @@ def choi_pauli_form(ch: QuantumChannel) -> ComplexMatrix:
     return ComplexMatrix(acc / ch.dim_in, (ch.dim_in, ch.dim_out))
 
 
+def pauli_sandwich(paulis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The signed ensemble P+ X P+ - P- X P- of each Pauli word P, with the
+    projectors P± = (I ± P)/2 formed; ``x`` broadcasts against ``paulis``."""
+    eye = np.eye(paulis.shape[-1])
+    plus, minus = 0.5 * (eye + paulis), 0.5 * (eye - paulis)
+    return plus @ x @ plus - minus @ x @ minus
+
+
+def sandwich_expectation_tensor(rho: np.ndarray, kraus_steps, paulis: np.ndarray) -> np.ndarray:
+    """``_kernels.expectation_tensor`` measuring by the projector sandwich:
+    breadth first, state prefix outer and Pauli word inner in each stack."""
+    p, d, _ = paulis.shape
+    states = rho.astype(np.complex128)[None]
+    for kraus in kraus_steps:
+        signed = pauli_sandwich(paulis, states[:, None]).reshape(-1, d, d)
+        states = np.einsum("aij,pjl,aml->pim", kraus, signed, kraus.conj(), optimize=True)
+    expectations = np.einsum("nij,kji->nk", states, paulis).real
+    return expectations.reshape((p,) * (len(kraus_steps) + 1))
+
+
 def kron_anticommutator_step(data: np.ndarray, choi: np.ndarray, dim_in: int, dim_out: int):
     """One anticommutator step on single matrices with each lift an explicit
     np.kron: ``data`` tensor I_out, and I on the slots before the channel's

@@ -91,6 +91,17 @@ def test_build_methods_agree(tmp_path, capsys):
     assert np.abs(a - b).max() < 1e-10
 
 
+def test_pdm_build_without_a_channel_prints_the_state_exactly(tmp_path, capsys):
+    state = random_state(4, 12, factors=(2, 2))
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(matrix_to_json(state.mat)))
+    code, text, _ = run(["pdm", "build", "--state", str(path)], capsys)
+    assert code == 0
+    built = pdm_from_json(json.loads(text))
+    assert len(built.slots) == 1
+    assert np.array_equal(built.mat.data, state.mat.data)
+
+
 def test_classify_verdict(tmp_path, capsys):
     out = tmp_path / "R.json"
     run(["pdm", "build", "--state", "plus", "--channel", "measure_prepare_z", "--out", str(out)], capsys)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdmcausal._kernels import assemble_from_expectations
+from pdmcausal._kernels import assemble_from_expectations, expectation_tensor
 from pdmcausal.channels import (
     QuantumChannel,
     QuantumState,
@@ -38,7 +38,9 @@ from oracles import (
     apply,
     effective_channel,
     kron_anticommutator_step,
+    pauli_sandwich,
     pdm_kron_chain,
+    sandwich_expectation_tensor,
     slot_marginals_by_traces,
 )
 
@@ -62,6 +64,14 @@ def test_oracle_single_slot_recovers_state():
     r = pdm_from_measurements(rho, [])
     assert len(r.slots) == 1
     assert max_abs_diff(r.mat.data, rho.mat.data) < 1e-13
+
+
+def test_iterative_with_no_channel_is_the_state():
+    for n in (1, 2, 3):
+        rho = random_state(2**n, 40 + n, factors=(2,) * n)
+        r = pdm_iterative(rho, [])
+        assert r.slots == (Slot("t1", n),)
+        assert np.array_equal(r.mat.data, rho.mat.data)
 
 
 def test_oracle_dimension_cap():
@@ -409,6 +419,34 @@ def test_iterative_equals_the_kron_chain_bitwise(chain):
 
 def _ginibre(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(measured_chains())
+def test_expectation_tensor_matches_the_projector_sandwich(chain):
+    rho, channels = chain
+    paulis = np.asarray(pauli_basis(len(rho.mat.factors)))
+    kraus_steps = [np.asarray(ch.kraus_operators) for ch in channels]
+    fast = expectation_tensor(rho.mat.data, kraus_steps, paulis)
+    reference = sandwich_expectation_tensor(rho.mat.data, kraus_steps, paulis)
+    assert np.abs(fast - reference).max() < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_jordan_product_is_the_projector_sandwich(n, seed):
+    paulis = np.asarray(pauli_basis(n))
+    x = _ginibre(generator(seed), 2**n, 2**n)
+    # each row and each column of a word holds one entry from {±1, ±i}, so
+    # P X and X P are a permutation times a phase: exact
+    col = np.abs(paulis).argmax(axis=-1)
+    row_phase = np.take_along_axis(paulis, col[..., None], -1)[..., 0]
+    assert np.array_equal(paulis @ x, row_phase[..., None] * x[col])
+    row = np.abs(paulis).argmax(axis=-2)
+    col_phase = np.take_along_axis(paulis, row[..., None, :], -2)[..., 0, :]
+    assert np.array_equal(x @ paulis, np.moveaxis(x[:, row], 1, 0) * col_phase[:, None, :])
+    jordan = 0.5 * (paulis @ x + x @ paulis)
+    assert np.abs(jordan - pauli_sandwich(paulis, x)).max() < 1e-13
 
 
 @st.composite
