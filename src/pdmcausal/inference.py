@@ -50,10 +50,12 @@ from .pdm import PDM, _slot_marginals, negativity, time_reverse
 
 RESIDUAL_LIMIT = 1e-6
 PINV_RCOND = 1e-10
-# Douglas-Rachford step, iteration cap and objective stall tolerance
+# Douglas-Rachford step, iteration cap and fixed-point tolerance: the loop
+# stops once the prox moves its projected iterate y by at most
+# SDP_TOL * max(1, |y|)
 SDP_STEP = 1.0
 SDP_MAX_ITERATIONS = 50_000
-SDP_OBJECTIVE_TOL = 1e-6
+SDP_TOL = 1e-12
 # Anderson acceleration of the Douglas-Rachford step: differences kept
 SDP_ANDERSON_MEMORY = 10
 
@@ -299,9 +301,10 @@ class _Anderson:
 
     Keeps the last ``memory`` differences of residuals g and of the plain
     steps z + g, and replaces the plain step by the mix whose residual
-    differences best cancel g: its weights solve the m x m Gram system,
-    kept up to date one row per step.  Complex matrices are handled as real
-    vectors, so the weights are real and Hermitian iterates stay Hermitian.
+    differences best cancel g: its weights solve the m x m Gram system of
+    the stored differences, formed afresh at each step.  Complex matrices are
+    handled as real vectors, so the weights are real and Hermitian iterates
+    stay Hermitian.
     The history is cleared whenever |g| grows, and the next step is then a
     plain one (Fu, Zhang & Boyd, SIAM J. Sci. Comput. 42, 2020).
     """
@@ -311,7 +314,6 @@ class _Anderson:
         self.memory = memory
         self.dg = np.empty((memory, size))
         self.df = np.empty((memory, size))
-        self.gram = np.empty((memory, memory))
         self.count = 0
         self.last = None  # (z, g, |g|^2) of the previous step, as real vectors
 
@@ -328,23 +330,16 @@ class _Anderson:
                 self.dg[j] = g - g_last
                 self.df[j] = z - z_last + self.dg[j]
                 self.count += 1
-                m = min(self.count, self.memory)
-                row = self.dg[:m] @ self.dg[j]
-                self.gram[j, :m] = row
-                self.gram[:m, j] = row
         self.last = (z, g, size)
         m = min(self.count, self.memory)
-        if m == 0:
+        dg = self.dg[:m]
+        gram = dg @ dg.T
+        scale = gram.trace()
+        if not scale > 0:  # no history, or the residual did not move
             step = z + g
         else:
-            gram = self.gram[:m, :m].copy()
-            scale = gram.trace()
-            if not scale > 0:  # the residual did not move
-                step = z + g
-            else:
-                gram.flat[:: m + 1] += 1e-12 * scale
-                weights = np.linalg.solve(gram, self.dg[:m] @ g)
-                step = z + g - weights @ self.df[:m]
+            gram.flat[:: m + 1] += 1e-12 * scale
+            step = z + g - np.linalg.solve(gram, dg @ g) @ self.df[:m]
         return step.view(np.complex128).reshape(shape)
 
 
@@ -355,9 +350,10 @@ def _schur_decision(fixed: np.ndarray, k: int, dout: int, t: float, rank_tol: fl
     k*dout rows and columns free.  Members are [[A, B], [B^H, C]] with B, C
     fixed and Tr_out A = I_k.  P is the pseudo-inverse of C - tI that cuts its
     kernel K (eigenvalues at most rank_tol) and
-    Q = (1 - t dout) I - Tr_out(B P B^H).  A yes is (True, the member
-    A = tI + B P B^H + Q tensor I / dout, None): the Schur complement of
-    C - tI in it is PSD (Boyd & Vandenberghe, App. A.5.5).  A no is
+    Q = (1 - t dout) I - Tr_out(B P B^H).  A yes is (True, ``fixed`` with
+    free block tI + B P B^H, None): the trace-preserving projection adds
+    Q tensor I / dout to that block, which gives the member whose Schur
+    complement of C - tI is PSD (Boyd & Vandenberghe, App. A.5.5).  A no is
     (False, W, bound), W = sum_o z_o z_o^H with free block M tensor I, so
     c = <W, T(N)> is one value on the family and bound = c / Tr W < t caps
     every witness.  No when C has an eigenvalue below t (z its eigenvector);
@@ -394,7 +390,7 @@ def _schur_decision(fixed: np.ndarray, k: int, dout: int, t: float, rank_tol: fl
     wq, uq = np.linalg.eigh(q)
     if (wq >= 0).all():
         member = fixed.copy()
-        member[:kd, :kd] = t * np.eye(kd) + bpb + _kron_eye(q, dout) / dout
+        member[:kd, :kd] = t * np.eye(kd) + bpb
         return True, member, None
     y = _kron_eye(uq[:, :1], dout)
     return no(y, pb @ y, wq[0])
@@ -418,8 +414,11 @@ def sdp_least_negative(
     A tensor I to A^T tensor I, so the projection keeps the fixed entries and
     the Hermitian part of the block, shifted by (Tr_out(block) - I) tensor
     I / dout to restore Tr_out = I; the witness is the iterate's eigenvalues
-    and the prox a plain eigenvalue clip.  The result is rotated back once and
-    its residual measured against the PDM.
+    and the prox a plain eigenvalue clip.  The loop stops at the splitting's
+    fixed point, once the prox moves the projected iterate y by at most
+    SDP_TOL * max(1, |y|) (``converged``), or after SDP_MAX_ITERATIONS, and
+    reports the least-negative iterate it saw.  The result is rotated back
+    once and its residual measured against the PDM.
 
     Raises NumericalInconsistencyError when no member is trace preserving
     (the floor), as when a marginal eigenvalue lies above rank_tol but under
@@ -429,8 +428,9 @@ def sdp_least_negative(
     within eps_pos.  A no returns at once (``certified_not_cp``: the member
     x0 whose free block is I tensor I / dout, the bound c / Tr W as witness).
     A yes runs the loop up to the first iterate whose witness is at least
-    -eps_pos (``certified_cp``); if the loop stops first, the Schur member is
-    returned with witness -eps_pos, the bound its Schur complement certifies.
+    -eps_pos (``certified_cp``); if the loop stops first, the projection of
+    the Schur member is returned with witness -eps_pos, the bound its Schur
+    complement certifies.
     The run to the optimum has route None.
     """
     k = _free_count(pdm, thresholds)
@@ -464,10 +464,9 @@ def sdp_least_negative(
 
     accel = _Anderson(SDP_ANDERSON_MEMORY, fixed.shape)
     z = x0
-    y_prev, obj_prev = None, np.inf
     best, best_obj = x0, np.inf
     converged, route = False, None
-    iterations = stall = 0
+    iterations = 0
     for iterations in range(1, SDP_MAX_ITERATIONS + 1):
         y = project(z)
         eigs = np.linalg.eigvalsh(y)
@@ -478,25 +477,14 @@ def sdp_least_negative(
         if obj < best_obj:
             best_obj = obj
             best = y
-        stalled = (
-            y_prev is not None
-            and np.linalg.norm(y - y_prev) <= 1e-10 * max(1.0, np.linalg.norm(y))
-            and abs(obj - obj_prev) <= SDP_OBJECTIVE_TOL
-        )
-        if stalled:
-            stall += 1
-            if stall >= 5:
-                converged = True
-                break
-        else:
-            stall = 0
-        y_prev = y
-        obj_prev = obj
         # prox: each negative eigenvalue moves toward 0 by its dual weight
         w, v = np.linalg.eigh(2.0 * y - z)
         weights = np.clip(-w, 0.0, SDP_STEP)
-        x = (v * (w + weights)) @ v.conj().T
-        z = accel.step(z, x - y)
+        g = (v * (w + weights)) @ v.conj().T - y
+        if np.linalg.norm(g) <= SDP_TOL * max(1.0, np.linalg.norm(y)):
+            converged = True
+            break
+        z = accel.step(z, g)
 
     if route:
         member, converged, min_eig = y, True, float(eigs[0])

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -529,6 +532,53 @@ def test_classify_keeps_the_cause_of_a_rank_one_semicausal_pdm_at_tiny_eps_pos()
     assert verdict.compatible == {CausalStructure.A_TO_B}
 
 
+@settings(max_examples=20, deadline=None)
+@given(rank_deficient_two_qubit_slots())
+def test_sdp_stops_at_the_douglas_rachford_fixed_point(r):
+    # once the prox moves the projected iterate by at most SDP_TOL, further
+    # iterations barely lower the objective
+    res = sdp_least_negative(r)
+    assert res.converged
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "SDP_TOL", 0.0)
+        mp.setattr(inference, "SDP_MAX_ITERATIONS", res.iterations + 200)
+        longer = sdp_least_negative(r)
+    assert 0 <= res.objective - longer.objective <= 1e-8
+
+
+def test_anderson_step_mixes_the_stored_differences():
+    rng = generator(35)
+    shape = (3, 3)
+
+    def draw(size):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return x * (size / np.linalg.norm(x))
+
+    def real(x):
+        return x.reshape(-1).view(np.float64)
+
+    def least_squares_step(zs, gs):
+        # z + g - w dF, w the least-squares fit of g by the last 4 differences
+        plain = [real(z + g) for z, g in zip(zs[-5:], gs[-5:])]
+        dg = np.diff([real(g) for g in gs[-5:]], axis=0)
+        weights = np.linalg.lstsq(dg.T, real(gs[-1]), rcond=None)[0]
+        return plain[-1] - weights @ np.diff(plain, axis=0)
+
+    accel = inference._Anderson(4, shape)
+    zs, gs = [], []
+    # |g| shrinks for seven steps, so the history of 4 wraps; then it grows
+    for size in (1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 2.0, 1.0):
+        if gs and size > np.linalg.norm(gs[-1]):
+            zs, gs = [], []  # a growing residual clears the history
+        zs.append(draw(1.0))
+        gs.append(draw(size))
+        step = accel.step(zs[-1], gs[-1])
+        if len(gs) == 1:  # no history: the plain step
+            assert np.array_equal(step, zs[-1] + gs[-1])
+        else:
+            assert np.abs(real(step) - least_squares_step(zs, gs)).max() <= 1e-10
+
+
 def test_sdp_run_to_the_optimum_has_no_route():
     res = sdp_least_negative(rank_one_semicausal_pdm())
     assert res.route is None and res.certificate is None
@@ -920,6 +970,27 @@ def test_classify_three_qubit_slots_mirrors_and_finds_the_generating_direction()
     assert mirrored.compatible == verdict.compatible_reversed
     assert mirrored.min_eig_forward == verdict.min_eig_reverse
     assert mirrored.min_eig_reverse == verdict.min_eig_forward
+
+
+# sha256 of the (compatible, route_forward, route_reverse) triples below
+POOL_VERDICTS_SHA256 = "8b806df22910831c45b85fba12d99cd7cd5dc72c149e87a5a6781c0e9099695e"
+
+
+def test_pinned_verdicts_and_routes_of_a_seeded_pool():
+    # 64 two-qubit-slot PDMs: first-state ranks 1-4 through a random or
+    # semicausal channel, every third time-reversed
+    triples = []
+    for k in range(64):
+        rng = generator(0x5EED + k)
+        rho = random_state(4, rng, rank=1 + k % 4, factors=(2, 2))
+        ch = random_semicausal(2, 2, 2, rng) if k // 4 % 2 else random_channel(4, rng)
+        r = pdm_closed_form(rho, ch)
+        blob = classify(time_reverse(r) if k % 3 == 0 else r).to_json()
+        triples.append([blob["compatible"], blob["route_forward"], blob["route_reverse"]])
+    routes = {route for _, fwd, rev in triples for route in (fwd, rev)}
+    assert routes == {"unique", "certified_cp", "certified_not_cp"}
+    digest = hashlib.sha256(json.dumps(triples).encode()).hexdigest()
+    assert digest == POOL_VERDICTS_SHA256, triples
 
 
 def test_verdict_json_schema():
