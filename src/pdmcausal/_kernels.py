@@ -5,12 +5,16 @@ propagates coarse-grained post-measurement ensembles through the channels.
 That enumeration is the hot inner loop of the package.  It runs breadth
 first: after ``s`` measured slots every Pauli-prefix state sits in one
 ``(4**(s*n), d, d)`` stack, so each slot costs one broadcast measurement and
-one channel ``einsum`` over the whole stack.
+one GEMM of the flattened stack with the channel's ``d²×d²`` superoperator.
+The superoperator is built from the Kraus operators, never from the Choi
+matrix that the builders under test use.
 
 Measuring a Pauli word ``P`` with projectors ``P± = (I ± P)/2`` leaves the
 signed ensemble ``P+ X P+ - P- X P-``, which is the Jordan product
 ``(P X + X P)/2``.  Each row and column of ``P`` holds one entry from
 {±1, ±i}, so both products are exact; the one rounding is in their sum.
+That is why the measurement is not folded into the channel GEMM, where
+every entry would be a sum of rounded products.
 """
 
 from __future__ import annotations
@@ -30,15 +34,20 @@ def expectation_tensor(
     shape (4**n, 2**n, 2**n).  Row ``i1*p**(s-1) + ... + is`` of the state
     stack holds the signed ensemble after measuring words ``i1..is``, each
     word ``P`` on a state ``X`` as ``(P X + X P)/2``, and applying the
-    ``s``-th channel.
+    ``s``-th channel.  A channel with Kraus operators ``K`` acts on the
+    row-major ``vec(X)`` as ``vec(X) @ S`` with
+    ``S[(j,l),(i,m)] = sum_a K[a,i,j] conj(K[a,m,l])``; the expectations are
+    one GEMM of the flattened states with the transposed Pauli table.
     """
     p, d, _ = paulis.shape
     states = rho.astype(np.complex128)[None]
     for kraus in kraus_steps:
         stack = states[:, None]
-        signed = (0.5 * (paulis @ stack + stack @ paulis)).reshape(-1, d, d)
-        states = np.einsum("aij,pjl,aml->pim", kraus, signed, kraus.conj(), optimize=True)
-    expectations = np.einsum("nij,kji->nk", states, paulis).real
+        signed = (0.5 * (paulis @ stack + stack @ paulis)).reshape(-1, d * d)
+        superop = np.einsum("aij,aml->jlim", kraus, kraus.conj()).reshape(d * d, d * d)
+        states = (signed @ superop).reshape(-1, d, d)
+    readout = paulis.swapaxes(-2, -1).reshape(p, d * d).T
+    expectations = (states.reshape(-1, d * d) @ readout).real
     return expectations.reshape((p,) * (len(kraus_steps) + 1))
 
 

@@ -212,6 +212,7 @@ def _json_int(value, what: str) -> int:
 
 
 def matrix_from_json(obj: dict) -> ComplexMatrix:
+    """The matrix ``matrix_to_json`` wrote; every entry must be finite."""
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
@@ -220,4 +221,10 @@ def matrix_from_json(obj: dict) -> ComplexMatrix:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
+    for name, part in (("re", re), ("im", im)):
+        finite = np.isfinite(part)
+        if not finite.all():
+            where = np.unravel_index(np.argmin(finite), part.shape)
+            index = "".join(f"[{k}]" for k in where)
+            raise ValueError(f"matrix JSON entry {name}{index} is not finite: {part[where]}")
     return ComplexMatrix(re + 1j * im, factors)

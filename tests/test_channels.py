@@ -265,8 +265,9 @@ def test_kraus_completeness_rejected():
 
 
 def test_channel_checks_reject_nan():
-    """A NaN entry fails the unitarity and trace-preservation checks rather
-    than passing them and surfacing later as a non-Hermitian PDM."""
+    """A NaN entry fails the unitarity and trace-preservation checks, or the
+    channel file reader, rather than passing them and surfacing later as a
+    non-Hermitian PDM."""
     nan = np.full((2, 2), np.nan)
     with pytest.raises(ValueError, match="not unitary"):
         QuantumChannel.from_unitary(nan)
@@ -276,7 +277,7 @@ def test_channel_checks_reject_nan():
         QuantumChannel.from_kraus([nan])
     obj = channel_to_json(QuantumChannel.from_kraus([SIGMA[1] / np.sqrt(2), SIGMA[3] / np.sqrt(2)]))
     obj["matrices"][1]["im"][0][1] = float("nan")
-    with pytest.raises(ValueError, match="not trace preserving"):
+    with pytest.raises(ValueError, match=r"entry im\[0\]\[1\] is not finite: nan"):
         channel_from_json(json.loads(json.dumps(obj)))
     choi = ComplexMatrix(np.where(np.eye(4) > 0, np.nan, measure_prepare_z().choi.data), (2, 2))
     with pytest.raises(ValueError, match="not trace preserving"):

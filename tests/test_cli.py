@@ -431,6 +431,48 @@ def test_pdm_file_with_a_fractional_slot_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error:") and "slot qubits 1.9 is not an integer" in err
 
 
+SENTINEL = "__non_finite__"
+
+
+def _pdm_file_with():
+    blob = pdm_to_json(pdm_closed_form(QuantumState.from_ket([1, 0]), measure_prepare_z()))
+    blob["im"][1][2] = SENTINEL
+    return ["infer", "classify", "--in", "{}"], blob, "im[1][2]"
+
+
+def _state_file_with():
+    blob = matrix_to_json(ComplexMatrix(np.eye(2) / 2))
+    blob["re"][0][1] = SENTINEL
+    return ["pdm", "build", "--state", "{}", "--channel", "swap"], blob, "re[0][1]"
+
+
+def _channel_file_with():
+    x = matrix_to_json(ComplexMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    x["re"][1][0] = SENTINEL
+    blob = {"rep": "kraus", "dim_in": 2, "dim_out": 2, "matrices": [x]}
+    return ["pdm", "build", "--state", "zero", "--channel", "{}"], blob, "re[1][0]"
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e309", "inf")],
+)
+@pytest.mark.parametrize(
+    "make", [_pdm_file_with, _state_file_with, _channel_file_with], ids=["pdm", "state", "channel"]
+)
+def test_a_matrix_file_with_a_non_finite_entry_is_an_input_error(
+    tmp_path, capsys, make, literal, value
+):
+    # json.load reads NaN and Infinity, and 1e309 overflows to inf; the matrix
+    # reader names the entry instead of a later "not Hermitian" check
+    argv, blob, entry = make()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(blob).replace(f'"{SENTINEL}"', literal))
+    code, out, err = run([a.format(path) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: matrix JSON entry {entry} is not finite: {value}")
+
+
 def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

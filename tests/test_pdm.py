@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdmcausal import channels as channels_module
 from pdmcausal._kernels import assemble_from_expectations, expectation_tensor
 from pdmcausal.channels import (
     QuantumChannel,
@@ -393,6 +394,38 @@ def test_oracle_matches_iterative_on_drawn_chains(chain):
     rho, channels = chain
     oracle = pdm_from_measurements(rho, channels)
     assert max_abs_diff(oracle.mat.data, pdm_iterative(rho, channels).mat.data) < 1e-10
+
+
+def test_oracle_builds_without_a_choi_matrix(monkeypatch):
+    # the oracle's channel step comes from the Kraus operators, so it cannot
+    # share a fault in the Choi matrices the iterative builder uses
+    rng = generator(23)
+    chains = []
+    for n, m in ((1, 6), (2, 3), (3, 2)):
+        rho = random_state(2**n, rng, factors=(2,) * n)
+        chains.append((rho, [random_channel(2**n, rng) for _ in range(m - 1)]))
+
+    def refuse(*args):
+        raise AssertionError("the definitional builder computed a Choi matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(channels_module, "_kraus_to_choi", refuse)
+        built = [pdm_from_measurements(rho, chs) for rho, chs in chains]
+    for (rho, chs), oracle in zip(chains, built):
+        assert max_abs_diff(oracle.mat.data, pdm_iterative(rho, chs).mat.data) < 1e-10
+
+
+@pytest.mark.parametrize("n, m", [(1, 6), (2, 3), (3, 2)])
+def test_oracle_matches_iterative_on_choi_rep_chains(n, m):
+    # a Choi-rep channel reaches the oracle through _choi_to_kraus, one Kraus
+    # operator per eigenvalue of its full-rank Choi matrix
+    d = 2**n
+    rng = generator(31 + n)
+    rho = random_state(d, rng, factors=(2,) * n)
+    chain = [QuantumChannel.from_choi(random_channel(d, rng).choi) for _ in range(m - 1)]
+    assert all(ch.rep == "choi" and len(ch.kraus_operators) == d * d for ch in chain)
+    oracle = pdm_from_measurements(rho, chain)
+    assert max_abs_diff(oracle.mat.data, pdm_iterative(rho, chain).mat.data) < 1e-10
 
 
 @st.composite
