@@ -173,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument(
         "--method",
-        choices=["closed", "iterative", "measurements"],
+        choices=["closed", "measurements"],
         default="closed",
-        help="construction: measurements simulates every measurement tuple; closed "
-        "(the default) and iterative both name the anticommutator construction",
+        help="construction: closed (the default) is the anticommutator construction, "
+        "measurements simulates every measurement tuple",
     )
     p_build.add_argument("--out", default=None)
     p_build.set_defaults(fn=_cmd_pdm_build)

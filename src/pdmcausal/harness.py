@@ -36,7 +36,7 @@ from .channels import (
     semicausal,
     swap_channel,
 )
-from .inference import CausalStructure, Thresholds, classify, extract_choi
+from .inference import CausalStructure, classify, extract_choi
 from .linalg import (
     NumericalInconsistencyError,
     _partial_trace,
@@ -78,15 +78,27 @@ def _verdict_str(verdict) -> str:
     return "+".join(str(int(c)) for c in sorted(verdict.compatible))
 
 
+def _verdict_row(key: str, value, verdict) -> dict:
+    """A worked example's row: its grid value under ``key`` and the verdict's evidence."""
+    return {
+        key: value,
+        "f": verdict.f,
+        "min_eig_forward": verdict.min_eig_forward,
+        "min_eig_reverse": verdict.min_eig_reverse,
+        "verdict": _verdict_str(verdict),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Worked examples
 # ---------------------------------------------------------------------------
 
-def run_measure_prepare(lambdas=DEFAULT_LAMBDAS, thresholds: Thresholds = Thresholds()):
+def run_measure_prepare(lambdas=DEFAULT_LAMBDAS):
     """Coherent input through the measure-and-prepare channel, one row per mixing weight.
 
-    Self-checks: verdict is exactly {1}, the forward matrix is PSD, the
-    reversed one is not, and the negativity matches sqrt(1 + w^2) - 1.
+    Self-checks, at the default thresholds: the verdict is exactly {1} and
+    the negativity matches sqrt(1 + w^2) - 1.  A verdict of {1} already
+    says the forward matrix is PSD and the reversed one is not.
     """
     ch = measure_prepare_z()
     plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=np.complex128)
@@ -95,34 +107,17 @@ def run_measure_prepare(lambdas=DEFAULT_LAMBDAS, thresholds: Thresholds = Thresh
         if not 0.0 < lam < 1.0:
             raise ValueError(f"mixing weight {lam} outside (0, 1)")
         rho = QuantumState.of((1 - lam) * np.eye(2) / 2 + lam * plus)
-        r = pdm_closed_form(rho, ch)
-        verdict = classify(r, thresholds)
+        verdict = classify(pdm_closed_form(rho, ch))
         _check(
             verdict.compatible == {CausalStructure.A_TO_B},
             f"measure-prepare verdict {_verdict_str(verdict)} != 1 at lambda={lam}",
-        )
-        _check(
-            verdict.min_eig_forward >= -thresholds.eps_pos,
-            f"forward matrix unexpectedly negative at lambda={lam}",
-        )
-        _check(
-            verdict.min_eig_reverse < -thresholds.eps_pos,
-            f"reversed matrix unexpectedly positive at lambda={lam}",
         )
         expected_f = math.sqrt(1 + lam * lam) - 1
         _check(
             abs(verdict.f - expected_f) <= 1e-10,
             f"negativity {verdict.f} != {expected_f} at lambda={lam}",
         )
-        rows.append(
-            {
-                "lambda": lam,
-                "f": verdict.f,
-                "min_eig_forward": verdict.min_eig_forward,
-                "min_eig_reverse": verdict.min_eig_reverse,
-                "verdict": _verdict_str(verdict),
-            }
-        )
+        rows.append(_verdict_row("lambda", lam, verdict))
     return rows
 
 
@@ -145,12 +140,11 @@ def expected_mixture_matrix(theta: float) -> np.ndarray:
     )
 
 
-def run_common_cause_mixture(
-    thetas_deg=DEFAULT_MIXTURE_THETAS_DEG, thresholds: Thresholds = Thresholds()
-):
+def run_common_cause_mixture(thetas_deg=DEFAULT_MIXTURE_THETAS_DEG):
     """Entangled input plus partial-swap influence: negativity with neither
-    direction completely positive.  Angles with no influence (cos = 0) or a
-    pure relabeling (sin = 1) are excluded from the verdict check."""
+    direction completely positive at the default thresholds.  A full swap
+    (cos = 0, |sin| = 1) skips the verdict check."""
+    mixed = {CausalStructure.A_TO_B_WITH_COMMON_CAUSE, CausalStructure.B_TO_A_WITH_COMMON_CAUSE}
     rows = []
     for deg in thetas_deg:
         theta = deg * DEG
@@ -159,27 +153,13 @@ def run_common_cause_mixture(
             max_abs_diff(r.mat.data, expected_mixture_matrix(theta)) <= 1e-10,
             f"mixture PDM deviates from its closed form at theta={deg} deg",
         )
-        verdict = classify(r, thresholds)
-        mixed = frozenset(
-            {
-                CausalStructure.A_TO_B_WITH_COMMON_CAUSE,
-                CausalStructure.B_TO_A_WITH_COMMON_CAUSE,
-            }
-        )
+        verdict = classify(r)
         if abs(math.cos(theta)) > 1e-12 and abs(math.sin(theta)) < 1.0 - 1e-12:
             _check(
                 verdict.compatible == mixed,
                 f"mixture verdict {_verdict_str(verdict)} != 4+5 at theta={deg} deg",
             )
-        rows.append(
-            {
-                "theta_deg": deg,
-                "f": verdict.f,
-                "min_eig_forward": verdict.min_eig_forward,
-                "min_eig_reverse": verdict.min_eig_reverse,
-                "verdict": _verdict_str(verdict),
-            }
-        )
+        rows.append(_verdict_row("theta_deg", deg, verdict))
     return rows
 
 

@@ -211,20 +211,32 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _entry(name: str, where: tuple) -> str:
+    return name + "".join(f"[{k}]" for k in where)
+
+
+def _json_part(part: np.ndarray, name: str) -> np.ndarray:
+    """The float array of one part read as an object array, after naming its
+    first entry that is not a number, then its first that is not finite."""
+    if not set(map(type, part.flat)) <= {int, float}:
+        where, value = next((w, v) for w, v in np.ndenumerate(part) if type(v) not in (int, float))
+        raise ValueError(f"matrix JSON entry {_entry(name, where)} is not a number: {value!r}")
+    part = part.astype(float)
+    finite = np.isfinite(part)
+    if not finite.all():
+        where = np.unravel_index(np.argmin(finite), part.shape)
+        raise ValueError(f"matrix JSON entry {_entry(name, where)} is not finite: {part[where]}")
+    return part
+
+
 def matrix_from_json(obj: dict) -> ComplexMatrix:
-    """The matrix ``matrix_to_json`` wrote; every entry must be finite."""
+    """The matrix ``matrix_to_json`` wrote; every entry must be a finite
+    number, never a string, a bool or null."""
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re, im = (np.asarray(obj[name], dtype=object) for name in ("re", "im"))
         factors = tuple(_json_int(f, "malformed matrix JSON: factor") for f in obj["factors"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if re.shape != im.shape:
         raise ValueError("re and im parts have different shapes")
-    for name, part in (("re", re), ("im", im)):
-        finite = np.isfinite(part)
-        if not finite.all():
-            where = np.unravel_index(np.argmin(finite), part.shape)
-            index = "".join(f"[{k}]" for k in where)
-            raise ValueError(f"matrix JSON entry {name}{index} is not finite: {part[where]}")
-    return ComplexMatrix(re + 1j * im, factors)
+    return ComplexMatrix(_json_part(re, "re") + 1j * _json_part(im, "im"), factors)

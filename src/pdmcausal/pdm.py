@@ -102,10 +102,6 @@ class PDM:
         """Each slot's reduction with its ascending eigenvalues."""
         return _slot_marginals(self.mat.data, self.slots)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.dim
-
 
 def _slot_marginals(data: np.ndarray, slots: tuple[Slot, ...]):
     """Each slot's reduction of ``data`` with its ascending eigenvalues, over

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,7 +189,9 @@ def test_partial_swap_unitary_and_kraus_pair():
     assert max_abs_diff(partial_swap(0.0).kraus_operators[0], np.eye(4)) == 0
     assert max_abs_diff(partial_swap(np.pi / 2).kraus_operators[0], 1j * swap_operator(2).data) < 1e-15
     theta = 0.6
-    expm = scipy.linalg.expm(1j * theta * swap_operator(2).data)
+    # exp(i theta S) from the spectrum of S, not from cos I + i sin S
+    w, v = np.linalg.eigh(swap_operator(2).data)
+    expm = v @ np.diag(np.exp(1j * theta * w)) @ v.conj().T
     assert max_abs_diff(partial_swap(theta).kraus_operators[0], expm) < 1e-12
     # induced channel on the first qubit with the second fixed to |0>
     c, s = np.cos(theta), np.sin(theta)

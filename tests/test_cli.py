@@ -338,7 +338,7 @@ CHOI_OF_TRANSPOSE = matrix_to_json(ComplexMatrix(np.outer(OMEGA, OMEGA), (2, 2))
 def test_malformed_channel_json_is_an_input_error(tmp_path, capsys, blob, message):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(blob))
-    for method in ("closed", "iterative", "measurements"):
+    for method in ("closed", "measurements"):
         code, out, err = run(
             ["pdm", "build", "--state", "zero", "--channel", str(path), "--method", method],
             capsys,
@@ -471,6 +471,34 @@ def test_a_matrix_file_with_a_non_finite_entry_is_an_input_error(
     code, out, err = run([a.format(path) for a in argv], capsys)
     assert code == 1 and out == ""
     assert err.startswith(f"error: matrix JSON entry {entry} is not finite: {value}")
+
+
+@pytest.mark.parametrize(
+    "literal, value",
+    [('"0.5"', "'0.5'"), ("false", "False"), ("true", "True"), ("null", "None")],
+)
+@pytest.mark.parametrize(
+    "make", [_pdm_file_with, _state_file_with, _channel_file_with], ids=["pdm", "state", "channel"]
+)
+def test_a_matrix_file_with_an_entry_that_is_not_a_number_is_an_input_error(
+    tmp_path, capsys, make, literal, value
+):
+    # numpy would read "0.5" as 0.5, false as 0 and null as nan
+    argv, blob, entry = make()
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(blob).replace(f'"{SENTINEL}"', literal))
+    code, out, err = run([a.format(path) for a in argv], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: matrix JSON entry {entry} is not a number: {value}")
+
+
+def test_build_method_iterative_is_a_usage_error(capsys):
+    # closed is the anticommutator construction; iterative was a second name for it
+    with pytest.raises(SystemExit) as exc:
+        main(["pdm", "build", "--state", "plus", "--method", "iterative"])
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    assert "invalid choice: 'iterative'" in err
 
 
 def test_exit_codes(tmp_path, capsys):

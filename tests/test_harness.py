@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from pdmcausal import harness
-from pdmcausal.inference import Thresholds
+from pdmcausal.channels import QuantumChannel, QuantumState, measure_prepare_z
+from pdmcausal.inference import classify
 from pdmcausal.linalg import NumericalInconsistencyError, max_abs_diff
+from pdmcausal.pdm import pdm_closed_form
 
 from oracles import reference_sweep_rows
 
@@ -95,11 +97,38 @@ def test_json_output():
     assert text.startswith("[") and text.endswith("\n")
 
 
-def test_self_check_failure_raises():
-    # impossible threshold forces the internal verdict assertion to fail
-    strict = Thresholds(eps_neg=10.0)
-    with pytest.raises(NumericalInconsistencyError):
-        harness.run_measure_prepare([0.5], thresholds=strict)
+def test_self_check_failure_raises(monkeypatch):
+    # the identity channel lets either time slot cause the other, so the
+    # measure-and-prepare example's verdict check must fail
+    monkeypatch.setattr(harness, "measure_prepare_z", QuantumChannel.identity)
+    with pytest.raises(NumericalInconsistencyError, match="measure-prepare verdict"):
+        harness.run_measure_prepare([0.5])
+
+
+@pytest.mark.parametrize(
+    "run, build",
+    [
+        (
+            harness.run_measure_prepare,
+            lambda lam: pdm_closed_form(
+                QuantumState.of((1 - lam) * np.eye(2) / 2 + lam * np.full((2, 2), 0.5)),
+                measure_prepare_z(),
+            ),
+        ),
+        (harness.run_common_cause_mixture, lambda deg: harness.mixture_pdm(deg * harness.DEG)),
+    ],
+    ids=["measure-prepare", "common-cause-mixture"],
+)
+def test_worked_example_rows_carry_the_default_verdict(run, build):
+    # each default-grid row is classify's evidence on the same PDM at the
+    # default thresholds, bit for bit
+    for row in run():
+        key, value = next(iter(row.items()))
+        verdict = classify(build(value))
+        assert list(row) == [key, "f", "min_eig_forward", "min_eig_reverse", "verdict"]
+        for name in ("f", "min_eig_forward", "min_eig_reverse"):
+            assert row[name].hex() == getattr(verdict, name).hex(), (key, value, name)
+        assert row["verdict"] == "+".join(str(int(c)) for c in sorted(verdict.compatible))
 
 
 CHUNK = harness.SWEEP_CHUNK
