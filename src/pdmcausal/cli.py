@@ -121,23 +121,23 @@ def _cmd_infer_classify(args) -> int:
     return 0
 
 
+_WORKED_EXAMPLES = {
+    "measure-prepare": harness.run_measure_prepare,
+    "common-cause-mixture": harness.run_common_cause_mixture,
+    "swap-influence": harness.run_swap_influence,
+}
+
+
 def _cmd_reproduce(args) -> int:
     # a grid flag the scenario does not read would silently run the default grid
     if args.scenario == "measure-prepare" and args.theta:
         raise ValueError("reproduce measure-prepare takes --lambda, not --theta")
     if args.scenario != "measure-prepare" and args.lam:
         raise ValueError(f"reproduce {args.scenario} takes --theta, not --lambda")
-    if args.scenario == "measure-prepare":
-        rows = harness.run_measure_prepare(args.lam or harness.DEFAULT_LAMBDAS)
-    elif args.scenario == "common-cause-mixture":
-        rows = harness.run_common_cause_mixture(
-            args.theta or harness.DEFAULT_MIXTURE_THETAS_DEG
-        )
-    else:
-        rows = harness.run_swap_influence(args.theta or harness.DEFAULT_THETAS_DEG)
-    text = harness.write_rows(rows, args.format, args.out)
-    if text is not None:
-        sys.stdout.write(text)
+    run = _WORKED_EXAMPLES[args.scenario]
+    grid = args.lam or args.theta  # at most one is left, the scenario's own
+    rows = run(grid) if grid else run()
+    _emit(harness.write_rows(rows, args.format), args.out)
     return 0
 
 
@@ -147,12 +147,9 @@ def _cmd_sweep_haar(args) -> int:
     # angles print as given, so the default goes in as floats like --theta's
     thetas = args.theta or [float(t) for t in harness.DEFAULT_SWEEP_THETAS_DEG]
     rows, summary = harness.run_haar_sweep(args.scenario, args.n, args.seed, thetas)
-    text = harness.write_rows(rows, args.format, args.out)
-    if text is not None:
-        sys.stdout.write(text)
-        print(json.dumps(summary), file=sys.stderr)
-    else:
-        print(json.dumps(summary))
+    _emit(harness.write_rows(rows, args.format), args.out)
+    # the summary goes to the stream the rows do not
+    print(json.dumps(summary), file=sys.stderr if args.out is None else sys.stdout)
     return 0
 
 
@@ -201,10 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(fn=_cmd_infer_classify)
 
     p_rep = sub.add_parser("reproduce", help="self-checking worked examples")
-    p_rep.add_argument(
-        "scenario",
-        choices=["measure-prepare", "common-cause-mixture", "swap-influence"],
-    )
+    p_rep.add_argument("scenario", choices=_WORKED_EXAMPLES)
     p_rep.add_argument(
         "--lambda",
         dest="lam",

@@ -1,4 +1,4 @@
-"""Scenario runners: worked examples and Monte-Carlo sweeps with CSV/JSON output.
+"""Scenario runners: worked examples and Monte-Carlo sweeps as rows, and their CSV/JSON text.
 
 Every reproduction scenario asserts its own expected outcomes and raises
 NumericalInconsistencyError on mismatch, so a clean exit certifies the run.
@@ -141,10 +141,12 @@ def expected_mixture_matrix(theta: float) -> np.ndarray:
 
 
 def run_common_cause_mixture(thetas_deg=DEFAULT_MIXTURE_THETAS_DEG):
-    """Entangled input plus partial-swap influence: negativity with neither
-    direction completely positive at the default thresholds.  A full swap
-    (cos = 0, |sin| = 1) skips the verdict check."""
-    mixed = {CausalStructure.A_TO_B_WITH_COMMON_CAUSE, CausalStructure.B_TO_A_WITH_COMMON_CAUSE}
+    """Entangled input plus partial-swap influence, checked against the
+    closed form's verdict at the default thresholds: {3} where
+    sin^2 <= eps_neg (no influence, only the Bell pair's correlation),
+    {1, 2} where cos^2 <= eps_pos (a full swap, an identity channel on the
+    maximally mixed input), else {4, 5}: negativity with neither direction
+    completely positive."""
     rows = []
     for deg in thetas_deg:
         theta = deg * DEG
@@ -154,11 +156,16 @@ def run_common_cause_mixture(thetas_deg=DEFAULT_MIXTURE_THETAS_DEG):
             f"mixture PDM deviates from its closed form at theta={deg} deg",
         )
         verdict = classify(r)
-        if abs(math.cos(theta)) > 1e-12 and abs(math.sin(theta)) < 1.0 - 1e-12:
-            _check(
-                verdict.compatible == mixed,
-                f"mixture verdict {_verdict_str(verdict)} != 4+5 at theta={deg} deg",
-            )
+        if math.sin(theta) ** 2 <= verdict.thresholds.eps_neg:
+            expected = "3"
+        elif math.cos(theta) ** 2 <= verdict.thresholds.eps_pos:
+            expected = "1+2"
+        else:
+            expected = "4+5"
+        _check(
+            _verdict_str(verdict) == expected,
+            f"mixture verdict {_verdict_str(verdict)} != {expected} at theta={deg} deg",
+        )
         rows.append(_verdict_row("theta_deg", deg, verdict))
     return rows
 
@@ -262,9 +269,9 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
             _check_trace_preserving(kraus)
             chois = _kraus_to_choi(kraus, 4, 4)
             full = _anticommutator_step(states, chois[:, None], 4, 4)
-            return _chunk_rows(full, ids, group_key, inputs)
+            return _chunk_rows(full, ids, group_key, groups)
 
-        group_key = "input_id"
+        group_key, groups = "input_id", inputs
     elif scenario == "fig4":
         if not thetas_deg:
             raise ValueError("fig4 needs at least one angle")
@@ -280,9 +287,9 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
             rho = _pure_states([_gaussian_ket(4, sample_stream(seed, i)) for i in ids])
             _check_states(rho)
             full = _anticommutator_step(rho[:, None], chois, 4, 4)
-            return _chunk_rows(full, ids, group_key, channels)
+            return _chunk_rows(full, ids, group_key, groups)
 
-        group_key = "theta_deg"
+        group_key, groups = "theta_deg", channels
     else:
         raise ValueError(f"unknown sweep scenario {scenario!r}")
 
@@ -291,17 +298,17 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
         for start in range(0, n, SWEEP_CHUNK)
         for row in work(range(start, min(start + SWEEP_CHUNK, n)))
     ]
-    counts: dict = {}
-    for row in rows:
-        key = row[group_key]
-        hit, total = counts.get(key, (0, 0))
-        counts[key] = (hit + (row["f"] > SWEEP_NEG_THRESHOLD), total + 1)
+    # rows run sample by sample, one per group within a sample, so every
+    # group has n rows, every len(groups)-th from its first
     summary = {
         "scenario": scenario,
         "n": n,
         "seed": seed,
         "negativity_threshold": SWEEP_NEG_THRESHOLD,
-        "fraction_negative": {str(k): hit / total for k, (hit, total) in counts.items()},
+        "fraction_negative": {
+            str(g): sum(row["f"] > SWEEP_NEG_THRESHOLD for row in rows[k :: len(groups)]) / n
+            for k, g in enumerate(groups)
+        },
     }
     return rows, summary
 
@@ -310,35 +317,18 @@ def run_haar_sweep(scenario: str, n: int, seed: int, thetas_deg=DEFAULT_SWEEP_TH
 # Output
 # ---------------------------------------------------------------------------
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def rows_to_csv(rows) -> str:
+def write_rows(rows, fmt: str) -> str:
+    """Return ``rows`` as text, ``csv`` (a header of the first row's keys,
+    floats by their repr) or ``json``; the caller writes it."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    if fmt != "csv":
+        raise ValueError(f"unknown output format {fmt!r}")
     if not rows:
         return ""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    fields = list(rows[0].keys())
+    fields = list(rows[0])
     writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_format_value(row[k]) for k in fields])
+    writer.writerows([row[k] for k in fields] for row in rows)
     return buf.getvalue()
-
-
-def rows_to_json(rows) -> str:
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def write_rows(rows, fmt: str, path: str | None) -> str | None:
-    """Serialize rows as ``csv`` or ``json``; write to ``path`` if given, else return the text."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
-    if path is None:
-        return text
-    with open(path, "w") as fh:
-        fh.write(text)
-    return None

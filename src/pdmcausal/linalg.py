@@ -221,7 +221,10 @@ def _json_part(part: np.ndarray, name: str) -> np.ndarray:
     if not set(map(type, part.flat)) <= {int, float}:
         where, value = next((w, v) for w, v in np.ndenumerate(part) if type(v) not in (int, float))
         raise ValueError(f"matrix JSON entry {_entry(name, where)} is not a number: {value!r}")
-    part = part.astype(float)
+    try:
+        part = part.astype(float)
+    except OverflowError:  # json keeps integers exact; one past the float range is inf, like 1e309
+        part = np.array([float(str(v)) for v in part.flat]).reshape(part.shape)
     finite = np.isfinite(part)
     if not finite.all():
         where = np.unravel_index(np.argmin(finite), part.shape)

@@ -199,6 +199,29 @@ def test_reproduce_csv_format(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "measure-prepare"],
+        ["reproduce", "common-cause-mixture"],
+        ["reproduce", "swap-influence"],
+        ["sweep", "haar", "--scenario", "fig4", "--n", "5", "--seed", "3"],
+    ],
+    ids=["measure-prepare", "common-cause-mixture", "swap-influence", "sweep-fig4"],
+)
+def test_out_writes_the_bytes_stdout_prints(argv, fmt, tmp_path, capsys):
+    argv = argv + ["--format", fmt]
+    code, text, summary = run(argv, capsys)
+    assert code == 0 and text
+    out = tmp_path / f"rows.{fmt}"
+    code, printed, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    assert out.read_bytes() == text.encode()
+    # a sweep's summary goes to the stream its rows do not
+    assert printed == summary
+
+
 def test_sweep_haar_csv(tmp_path, capsys):
     out = tmp_path / "fig3.csv"
     args = ["sweep", "haar", "--scenario", "fig3", "--n", "4", "--seed", "7", "--out", str(out)]
@@ -455,7 +478,14 @@ def _channel_file_with():
 
 @pytest.mark.parametrize(
     "literal, value",
-    [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e309", "inf")],
+    [
+        ("NaN", "nan"),
+        ("Infinity", "inf"),
+        ("-Infinity", "-inf"),
+        ("1e309", "inf"),
+        pytest.param("1" + "0" * 400, "inf", id="int-10**400"),
+        pytest.param("-1" + "0" * 400, "-inf", id="int--10**400"),
+    ],
 )
 @pytest.mark.parametrize(
     "make", [_pdm_file_with, _state_file_with, _channel_file_with], ids=["pdm", "state", "channel"]
@@ -463,8 +493,10 @@ def _channel_file_with():
 def test_a_matrix_file_with_a_non_finite_entry_is_an_input_error(
     tmp_path, capsys, make, literal, value
 ):
-    # json.load reads NaN and Infinity, and 1e309 overflows to inf; the matrix
-    # reader names the entry instead of a later "not Hermitian" check
+    # json.load reads NaN and Infinity, and 1e309 overflows to inf; an integer
+    # literal stays exact, and past the float range reads as inf too rather
+    # than raising OverflowError; the matrix reader names the entry instead
+    # of a later "not Hermitian" check
     argv, blob, entry = make()
     path = tmp_path / "f.json"
     path.write_text(json.dumps(blob).replace(f'"{SENTINEL}"', literal))

@@ -41,6 +41,18 @@ def test_common_cause_mixture_rows():
         assert abs(row["min_eig_reverse"] + math.cos(theta) ** 2) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "deg, verdict",
+    [(0, "3"), (1e-7, "3"), (180, "3"), (90 - 1e-7, "1+2"), (90, "1+2"), (-90, "1+2"),
+     (270, "1+2"), (45, "4+5")],
+)
+def test_common_cause_mixture_checks_the_closed_form_verdict_at_every_angle(deg, verdict):
+    # sin^2 <= eps_neg leaves only the Bell pair's correlation; cos^2 <= eps_pos
+    # is a full swap, an identity channel on the maximally mixed input
+    (row,) = harness.run_common_cause_mixture([deg])
+    assert row["verdict"] == verdict
+
+
 def test_mixture_pdm_matches_closed_form_on_grid():
     for deg in range(5, 90, 10):
         theta = math.radians(deg)
@@ -80,20 +92,17 @@ def test_haar_sweep_fig4_groups():
         harness.run_haar_sweep("fig3", n=0, seed=1)
 
 
-def test_csv_output_deterministic(tmp_path):
+def test_csv_output_deterministic():
     rows, _ = harness.run_haar_sweep("fig3", n=6, seed=11)
-    text1 = harness.rows_to_csv(rows)
-    text2 = harness.rows_to_csv(rows)
+    text1 = harness.write_rows(rows, "csv")
+    text2 = harness.write_rows(rows, "csv")
     assert text1 == text2
     assert text1.splitlines()[0] == "sample_id,input_id,f,min_eig_fwd,min_eig_rev"
-    out = tmp_path / "rows.csv"
-    assert harness.write_rows(rows, "csv", str(out)) is None
-    assert out.read_text() == text1
 
 
 def test_json_output():
     rows = harness.run_swap_influence([0, 45])
-    text = harness.rows_to_json(rows)
+    text = harness.write_rows(rows, "json")
     assert text.startswith("[") and text.endswith("\n")
 
 
@@ -145,7 +154,7 @@ def test_sweep_rows_equal_the_per_pdm_reference(scenario, seed, n):
     expected = reference_sweep_rows(scenario, n, seed, thetas)
     assert rows == expected
     # == on floats would let -0.0 pass for 0.0; the CSV must not change either
-    assert harness.rows_to_csv(rows) == harness.rows_to_csv(expected)
+    assert harness.write_rows(rows, "csv") == harness.write_rows(expected, "csv")
 
 
 def test_fig4_needs_an_angle():
@@ -182,10 +191,10 @@ def test_haar_sweep_accepts_a_numpy_integer_seed():
 def test_write_rows_rejects_unknown_format():
     rows = harness.run_swap_influence([0])
     with pytest.raises(ValueError, match="xml"):
-        harness.write_rows(rows, "xml", None)
+        harness.write_rows(rows, "xml")
 
 
-# sha256 of rows_to_csv at n=200 for the A9 seeds; the sweeps promise
+# sha256 of the CSV at n=200 for the A9 seeds; the sweeps promise
 # byte-identical CSVs for a given seed, so any change to these bytes must be
 # deliberate and re-recorded.
 SWEEP_CSV_SHA256 = {
@@ -197,7 +206,7 @@ SWEEP_CSV_SHA256 = {
 @pytest.mark.parametrize(("scenario", "seed"), list(SWEEP_CSV_SHA256))
 def test_sweep_csv_bytes_are_pinned(scenario, seed):
     rows, _ = harness.run_haar_sweep(scenario, n=200, seed=seed)
-    digest = hashlib.sha256(harness.rows_to_csv(rows).encode()).hexdigest()
+    digest = hashlib.sha256(harness.write_rows(rows, "csv").encode()).hexdigest()
     assert digest == SWEEP_CSV_SHA256[(scenario, seed)]
 
 
