@@ -31,3 +31,16 @@ def pauli_basis(n: int) -> np.ndarray:
         out = np.array([np.kron(SIGMA[d], s) for d in range(4) for s in sub])
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=None)
+def pauli_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the 4**n words as a gather: read-only ``(col, phase)`` of shape
+    (4**n, 2**n), where row ``r`` of word ``w`` holds its one nonzero entry
+    ``phase[w, r]`` in column ``col[w, r]``."""
+    paulis = pauli_basis(n)
+    col = np.abs(paulis).argmax(axis=-1)
+    phase = np.take_along_axis(paulis, col[..., None], -1)[..., 0]
+    col.setflags(write=False)
+    phase.setflags(write=False)
+    return col, phase

@@ -79,6 +79,21 @@ def sandwich_expectation_tensor(rho: np.ndarray, kraus_steps, paulis: np.ndarray
     return expectations.reshape((p,) * (len(kraus_steps) + 1))
 
 
+def matmul_expectation_tensor(rho: np.ndarray, kraus_steps, paulis: np.ndarray) -> np.ndarray:
+    """``_kernels.expectation_tensor`` measuring each word by two batched
+    matmuls, ``(P X + X P)/2``, instead of a phased row and column gather."""
+    p, d, _ = paulis.shape
+    states = rho.astype(np.complex128)[None]
+    for kraus in kraus_steps:
+        stack = states[:, None]
+        signed = (0.5 * (paulis @ stack + stack @ paulis)).reshape(-1, d * d)
+        superop = np.einsum("aij,aml->jlim", kraus, kraus.conj()).reshape(d * d, d * d)
+        states = (signed @ superop).reshape(-1, d, d)
+    readout = paulis.swapaxes(-2, -1).reshape(p, d * d).T
+    expectations = (states.reshape(-1, d * d) @ readout).real
+    return expectations.reshape((p,) * (len(kraus_steps) + 1))
+
+
 def kron_anticommutator_step(data: np.ndarray, choi: np.ndarray, dim_in: int, dim_out: int):
     """One anticommutator step on single matrices with each lift an explicit
     np.kron: ``data`` tensor I_out, and I on the slots before the channel's

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from pdmcausal.channels import (
     random_state,
 )
 from pdmcausal.linalg import ComplexMatrix, max_abs_diff, swap_operator
-from pdmcausal.pauli import SIGMA, pauli_basis
+from pdmcausal.pauli import SIGMA, pauli_basis, pauli_gather
 from pdmcausal.pdm import (
     _anticommutator_step,
     _slot_marginals,
@@ -39,6 +41,7 @@ from oracles import (
     apply,
     effective_channel,
     kron_anticommutator_step,
+    matmul_expectation_tensor,
     pauli_sandwich,
     pdm_kron_chain,
     sandwich_expectation_tensor,
@@ -374,13 +377,13 @@ def test_assembler_matches_direct_sum():
 
 
 @st.composite
-def measured_chains(draw):
+def measured_chains(draw, min_slots=2):
     """A random state and channel chain within the definitional builder's cap.
 
     Each step draws its Kraus count from 1 (a unitary step) to d**2.
     """
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(2, MAX_SLOT_QUBITS // n))
+    m = draw(st.integers(min_slots, MAX_SLOT_QUBITS // n))
     d = 2**n
     counts = draw(st.lists(st.integers(1, d * d), min_size=m - 1, max_size=m - 1))
     rng = generator(draw(st.integers(0, 2**32 - 1)))
@@ -465,6 +468,41 @@ def test_expectation_tensor_matches_the_projector_sandwich(chain):
     assert np.abs(fast - reference).max() < 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(measured_chains(min_slots=1))
+def test_expectation_tensor_equals_the_matmul_measurement_bitwise(chain):
+    # the gather only moves and rephases entries, so every value matches the
+    # two batched matmuls it replaced, bit for bit
+    rho, channels = chain
+    paulis = np.asarray(pauli_basis(len(rho.mat.factors)))
+    kraus_steps = [np.asarray(ch.kraus_operators) for ch in channels]
+    gathered = expectation_tensor(rho.mat.data, kraus_steps, paulis)
+    assert np.array_equal(gathered, matmul_expectation_tensor(rho.mat.data, kraus_steps, paulis))
+
+
+# tracemalloc peak of one oracle build with warm Pauli tables, measured with
+# Python 3.11 and numpy 2.4: 0.38 MiB at 6 slots of 1 qubit, 0.39 MiB at 3 of
+# 2 and 0.44 MiB at 2 of 3, reached after the measurements (whose own peak is
+# 0.22, 0.20 and 0.31 MiB).  The largest stack at the cap is 64 KiB.
+ORACLE_PEAK_CAP_MIB = {(6, 1): 0.42, (3, 2): 0.42, (2, 3): 0.48}
+
+
+@pytest.mark.parametrize("m, n", list(ORACLE_PEAK_CAP_MIB))
+def test_oracle_working_set_at_the_cap(m, n):
+    d = 2**n
+    rng = generator(5)
+    rho = random_state(d, rng, factors=(2,) * n)
+    chain = [random_channel(d, rng) for _ in range(m - 1)]
+    pdm_from_measurements(rho, chain)  # warm the Pauli tables
+    tracemalloc.start()
+    try:
+        pdm_from_measurements(rho, chain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ORACLE_PEAK_CAP_MIB[m, n] * 2**20
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_jordan_product_is_the_projector_sandwich(n, seed):
@@ -478,6 +516,13 @@ def test_jordan_product_is_the_projector_sandwich(n, seed):
     row = np.abs(paulis).argmax(axis=-2)
     col_phase = np.take_along_axis(paulis, row[..., None, :], -2)[..., 0, :]
     assert np.array_equal(x @ paulis, np.moveaxis(x[:, row], 1, 0) * col_phase[:, None, :])
+    # a word is Hermitian, so its columns gather like its rows with conjugate
+    # phases: the kernel's table holds the rows only
+    assert np.array_equal(row, col)
+    assert np.array_equal(col_phase, row_phase.conj())
+    table = pauli_gather(n)
+    assert np.array_equal(table[0], col) and np.array_equal(table[1], row_phase)
+    assert not any(a.flags.writeable for a in table)
     jordan = 0.5 * (paulis @ x + x @ paulis)
     assert np.abs(jordan - pauli_sandwich(paulis, x)).max() < 1e-13
 
